@@ -2,7 +2,7 @@
 //
 //   A1 (claim C6) - node renumbering: "the size of the coefficient matrix
 //       bandwidth ... is directly related to the numbering scheme". We
-//       measure bandwidth, banded storage, and LDL^T factor+solve time of
+//       measure bandwidth, envelope storage, and LDL^T factor+solve time of
 //       the Figure 9 hatch analysis under the assembly numbering vs
 //       Cuthill-McKee vs Reverse Cuthill-McKee.
 //   A2 - element reform: min-angle population with the reform pass on/off.
@@ -11,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "idlz/idlz.h"
 #include "idlz/smooth.h"
@@ -48,7 +49,7 @@ void print_report() {
   std::printf(
       "==== A1: numbering scheme ablation (Figure 15 stiffened mesh) ====\n");
   std::printf("%-22s %10s %10s %12s\n", "scheme", "bandwidth", "profile",
-              "band doubles");
+              "env doubles");
   struct Variant {
     const char* name;
     bool renumber;
@@ -64,11 +65,12 @@ void print_report() {
     const idlz::IdlzResult r = cylinder_with(v.renumber, v.scheme);
     const int bw = mesh::bandwidth(r.mesh);
     const fem::StaticProblem prob = cylinder_problem(r.mesh);
-    const fem::BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+    const fem::SkylineMatrix k(prob.dof_skyline_lows());
     std::printf("%-22s %10d %10ld %12zu\n", v.name, bw, mesh::profile(r.mesh),
                 k.storage());
   }
-  std::printf("(factor+solve timings below; cost scales with n*bw^2)\n\n");
+  std::printf(
+      "(factor+solve timings below; cost scales with profile * height)\n\n");
 
   std::printf("==== A2: element reform ablation ====\n");
   std::printf("%-8s %18s %18s %14s\n", "figure", "min angle off/on",
@@ -166,7 +168,7 @@ void BM_FactorSolve(benchmark::State& state) {
       cylinder_with(renumber, schemes[state.range(0)]);
   const fem::StaticProblem prob = cylinder_problem(r.mesh);
   for (auto _ : state) {
-    fem::BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+    fem::SkylineMatrix k(prob.dof_skyline_lows());
     std::vector<double> rhs;
     prob.assemble(k, rhs);
     k.factorize();

@@ -1,12 +1,14 @@
 // FEM substrate scaling: the costs behind the figures' analyses.
 //
-// Measures static assembly+solve vs element count (the n * bw^2 banded
-// cost), the thermal stepper vs step count, and stress recovery — so the
-// end-to-end analysis-chain times in bench_contours decompose cleanly.
+// Measures static assembly+solve vs element count (the envelope LDL^T
+// cost, ~n * bw^2 on a strip), the thermal stepper vs step count, and
+// stress recovery — so the end-to-end analysis-chain times in
+// bench_contours decompose cleanly.
 #include <cstdio>
 
 #include <benchmark/benchmark.h>
 
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "fem/stress.h"
 #include "fem/thermal.h"
@@ -46,12 +48,12 @@ fem::StaticProblem clamp_and_pull(const mesh::TriMesh& m, int nx, int ny) {
 void print_report() {
   std::printf("==== FEM substrate scaling ====\n");
   std::printf("%-12s %8s %8s %12s\n", "mesh", "dofs", "dof bw",
-              "band doubles");
+              "env doubles");
   for (int nx : {16, 32, 64, 128}) {
     const int ny = 4;
     const mesh::TriMesh m = strip(nx, ny);
     const fem::StaticProblem prob = clamp_and_pull(m, nx, ny);
-    const fem::BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+    const fem::SkylineMatrix k(prob.dof_skyline_lows());
     std::printf("%4dx%-7d %8d %8d %12zu\n", nx, ny, prob.num_dofs(),
                 prob.dof_half_bandwidth(), k.storage());
   }
@@ -65,7 +67,7 @@ void BM_StaticSolve(benchmark::State& state) {
   const mesh::TriMesh m = strip(nx, ny);
   const fem::StaticProblem prob = clamp_and_pull(m, nx, ny);
   for (auto _ : state) {
-    fem::StaticSolution sol = fem::solve(prob);
+    fem::StaticSolution sol = fem::solve(prob, RunOptions{});
     benchmark::DoNotOptimize(sol.displacement.back().x);
   }
   state.counters["elements"] = 2.0 * nx * ny;
@@ -81,7 +83,7 @@ void BM_SolveWideVsNarrow(benchmark::State& state) {
   const mesh::TriMesh m = strip(nx, ny);
   const fem::StaticProblem prob = clamp_and_pull(m, nx, ny);
   for (auto _ : state) {
-    fem::StaticSolution sol = fem::solve(prob);
+    fem::StaticSolution sol = fem::solve(prob, RunOptions{});
     benchmark::DoNotOptimize(sol.displacement.back().x);
   }
   state.SetLabel(square ? "square 23x23 (wide band)"
@@ -95,7 +97,7 @@ void BM_StressRecovery(benchmark::State& state) {
   const int ny = 4;
   const mesh::TriMesh m = strip(nx, ny);
   const fem::StaticProblem prob = clamp_and_pull(m, nx, ny);
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   for (auto _ : state) {
     auto field =
         fem::nodal_field(prob, sol, fem::StressComponent::kEffective);

@@ -1,9 +1,8 @@
-// The ordering x storage x threads ablation of the FEM hot path: element
-// assembly and blocked LDL^T factorize+solve in both stiffness layouts
-// (banded and compressed skyline) under none/RCM/Hilbert node orderings,
-// on IDLZ strips and plate-with-holes meshes.
+// The ordering x threads sweep of the FEM hot path: element assembly and
+// blocked envelope LDL^T factorize+solve under none/RCM node orderings, on
+// IDLZ strips and plate-with-holes meshes.
 //
-// Artifacts: BENCH_solver.json (payload schema "feio.bench.solver/2", the
+// Artifacts: BENCH_solver.json (payload schema "feio.bench.solver/3", the
 // feio.report/1 bench envelope; see docs/BENCHMARKS.md), then the
 // Google-Benchmark runs. `--quick` restricts the harness to two small
 // meshes (the CI smoke configuration). Pass --benchmark_format=json for
@@ -16,6 +15,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "idlz/assembler.h"
 #include "idlz/renumber.h"
@@ -72,7 +72,7 @@ void BM_FemAssemble(benchmark::State& state) {
   const fem::StaticProblem prob = make_problem(mesh);
   ThreadsGuard guard(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    fem::BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+    fem::SkylineMatrix k(prob.dof_skyline_lows());
     std::vector<double> rhs;
     prob.assemble(k, rhs);
     benchmark::DoNotOptimize(rhs.data());
@@ -85,12 +85,12 @@ void BM_FactorSolve(benchmark::State& state) {
   const StripSize& size = kSizes[state.range(0)];
   const mesh::TriMesh mesh = strip_mesh(size);
   const fem::StaticProblem prob = make_problem(mesh);
-  fem::BandedMatrix k0(prob.num_dofs(), prob.dof_half_bandwidth());
+  fem::SkylineMatrix k0(prob.dof_skyline_lows());
   std::vector<double> rhs0;
   prob.assemble(k0, rhs0);
   ThreadsGuard guard(static_cast<int>(state.range(1)));
   for (auto _ : state) {
-    fem::BandedMatrix k = k0;
+    fem::SkylineMatrix k = k0;
     std::vector<double> rhs = rhs0;
     k.factorize();
     k.solve(rhs);

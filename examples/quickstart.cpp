@@ -77,7 +77,7 @@ int main() {
       }
     }
   }
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
 
   // --- 3. The iso-plot: effective stress with the automatic interval.
   ospl::OsplCase oc;

@@ -11,10 +11,10 @@
 #include "cards/format.h"     // IWYU pragma: export
 #include "feio/api.h"         // IWYU pragma: export
 #include "fem/assembly.h"     // IWYU pragma: export
-#include "fem/banded.h"       // IWYU pragma: export
 #include "fem/contact.h"      // IWYU pragma: export
 #include "fem/element.h"      // IWYU pragma: export
 #include "fem/material.h"     // IWYU pragma: export
+#include "fem/skyline.h"      // IWYU pragma: export
 #include "fem/solver.h"       // IWYU pragma: export
 #include "fem/stress.h"       // IWYU pragma: export
 #include "fem/thermal.h"      // IWYU pragma: export

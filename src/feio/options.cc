@@ -223,21 +223,6 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
     opts.ablate_caches = true;
     return FlagStatus::kOk;
   }
-  if (matches_flag(a, "--storage")) {
-    const char* value = flag_value(a, "--storage", argc, argv, i);
-    const std::string_view v = value == nullptr ? "" : value;
-    if (v == "auto") {
-      opts.solver_storage = SolverStorage::kAuto;
-    } else if (v == "banded") {
-      opts.solver_storage = SolverStorage::kBanded;
-    } else if (v == "skyline") {
-      opts.solver_storage = SolverStorage::kSkyline;
-    } else {
-      error = "--storage expects auto, banded or skyline";
-      return FlagStatus::kError;
-    }
-    return FlagStatus::kOk;
-  }
   if (matches_flag(a, "--order")) {
     const char* value = flag_value(a, "--order", argc, argv, i);
     const std::string_view v = value == nullptr ? "" : value;
@@ -247,10 +232,8 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
       opts.ordering = OrderingChoice::kNone;
     } else if (v == "rcm") {
       opts.ordering = OrderingChoice::kRcm;
-    } else if (v == "hilbert") {
-      opts.ordering = OrderingChoice::kHilbert;
     } else {
-      error = "--order expects deck, none, rcm or hilbert";
+      error = "--order expects deck, none or rcm";
       return FlagStatus::kError;
     }
     return FlagStatus::kOk;
@@ -262,7 +245,6 @@ RunOptions run_options(const CommonOptions& opts) {
   RunOptions ro;
   ro.tracer = opts.tracer;
   ro.metrics = opts.metrics;
-  ro.solver_storage = opts.solver_storage;
   ro.ordering = opts.ordering;
   return ro;
 }
@@ -286,7 +268,6 @@ serve::ServeOptions serve_options(const CommonOptions& opts) {
         static_cast<int>(std::min<long long>(opts.cache_factors, 1 << 20));
   }
   if (opts.factor_ttl_ms >= 0) so.factor_ttl_ms = opts.factor_ttl_ms;
-  so.solver_storage = opts.solver_storage;
   so.ordering = opts.ordering;
   if (opts.window_jobs >= 0) {
     so.window_jobs =

@@ -68,11 +68,8 @@ struct CommonOptions {
   long long window_jobs = -1;
   bool ablate_caches = false;
 
-  // solver layout / ordering overrides: --storage auto|banded|skyline
-  // (kAuto lets the fill predictor pick) and --order deck|none|rcm|hilbert
-  // (kDeckDefault keeps the deck's own NONUMB option). Both feed the
-  // factor-cache key, so pinning a serve deployment re-keys its factors.
-  SolverStorage solver_storage = SolverStorage::kAuto;
+  // ordering override: --order deck|none|rcm (kDeckDefault keeps the
+  // deck's own NONUMB option).
   OrderingChoice ordering = OrderingChoice::kDeckDefault;
 
   // Installed process-wide by the front end for the invocation; carried

@@ -16,29 +16,15 @@ class FactorCache;
 
 namespace feio {
 
-// Storage selection for the fem solve path. kAuto lets the fill predictor
-// in fem::solve compare true skyline bytes (column-height sum) against
-// banded bytes (n * (hbw+1)) and pick the smaller-by-a-margin layout; the
-// forced values exist for the bench ablation and for pinning a serve
-// deployment to one layout. The choice is part of the factor-cache key, so
-// banded and skyline factors never alias.
-enum class SolverStorage {
-  kAuto,
-  kBanded,
-  kSkyline,
-};
-
 // Node-ordering override for the idealization pipeline's renumber pass.
-// kDeckDefault keeps the deck's own NONUMB option and scheme; the others
-// force the pass on (or off for kNone) with the named scheme — the
-// ordering half of the bench's ordering x storage ablation. Also part of
-// the factor-cache key: the same deck under two orderings produces
-// different operators.
+// kDeckDefault keeps the deck's own NONUMB option and scheme; kRcm forces
+// the pass on with reverse Cuthill–McKee and kNone forces it off — the
+// ordering axis of the solver bench. The same deck under two orderings
+// produces different meshes, so their factors never share a cache entry.
 enum class OrderingChoice {
   kDeckDefault,
   kNone,
   kRcm,
-  kHilbert,
 };
 
 // Options applied to one pipeline run. Everything here defaults to "the
@@ -77,9 +63,6 @@ struct RunOptions {
   // cache must outlive the call; it is internally synchronized, so serve
   // workers share one instance.
   fem::FactorCache* factor_cache = nullptr;
-
-  // Stiffness storage for fem::solve(problem, opts) — see SolverStorage.
-  SolverStorage solver_storage = SolverStorage::kAuto;
 
   // Renumbering override for run_idlz — see OrderingChoice.
   OrderingChoice ordering = OrderingChoice::kDeckDefault;

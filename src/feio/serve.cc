@@ -245,7 +245,6 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
   ro.make_plots = false;
   ro.punch = false;
   ro.factor_cache = factor_cache;  // consulted by the "solve" pipeline only
-  ro.solver_storage = opts.solver_storage;
   ro.ordering = opts.ordering;
 
   try {

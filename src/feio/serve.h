@@ -121,11 +121,8 @@ struct ServeOptions {
   // <= 0 disables windowing.
   int window_jobs = 100;
 
-  // Solver layout / ordering pins applied to every job's RunOptions
-  // (--storage / --order). Defaults keep the fill predictor and the deck's
-  // own renumber option; both are part of the factor-cache key, so a
-  // pinned deployment never aliases factors with an auto one.
-  SolverStorage solver_storage = SolverStorage::kAuto;
+  // Ordering pin applied to every job's RunOptions (--order). The default
+  // keeps the deck's own renumber option.
   OrderingChoice ordering = OrderingChoice::kDeckDefault;
 };
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
-#include <numeric>
 
-#include "fem/skyline.h"
+#include "mesh/bandwidth.h"
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/guard.h"
@@ -87,14 +86,12 @@ int StaticProblem::dof_half_bandwidth() const {
 
 namespace {
 
-// The shared element-stiffness loop, templated over the storage the
-// entries land in (BandedMatrix or SkylineMatrix — anything with add()).
-// Each chunk of elements fills a private COO scratch (21 lower-triangle
-// entries per CST), and the chunks are merged in chunk order — which is
-// exactly ascending element order, so the accumulated sums are bitwise
-// identical to a serial sweep at any thread count, in either storage.
-template <typename Matrix>
-void assemble_stiffness(const StaticProblem& p, Matrix& k) {
+// The element-stiffness loop. Each chunk of elements fills a private COO
+// scratch (21 lower-triangle entries per CST), and the chunks are merged in
+// chunk order — which is exactly ascending element order, so the
+// accumulated sums are bitwise identical to a serial sweep at any thread
+// count.
+void assemble_stiffness(const StaticProblem& p, SkylineMatrix& k) {
   struct Entry {
     int r, c;
     double v;
@@ -134,61 +131,29 @@ void assemble_stiffness(const StaticProblem& p, Matrix& k) {
   }
 }
 
-template <typename Matrix>
-void assemble_constrained(const StaticProblem& p, Matrix& k,
-                          std::vector<double>& rhs,
-                          std::vector<DirichletRhsOp>* record) {
-  p.assemble_unconstrained(k, rhs);
-  FEIO_REQUIRE(!p.constraints().empty(),
-               "structure has no constraints (rigid-body motion)");
-  for (const Constraint& c : p.constraints()) {
-    if (c.fix_x) k.apply_dirichlet(2 * c.node, c.value_x, rhs, record);
-    if (c.fix_y) k.apply_dirichlet(2 * c.node + 1, c.value_y, rhs, record);
-  }
-}
-
 }  // namespace
 
 std::vector<int> StaticProblem::dof_skyline_lows() const {
-  const int nn = mesh_->num_nodes();
-  std::vector<int> low_node(static_cast<size_t>(nn));
-  std::iota(low_node.begin(), low_node.end(), 0);
-  for (const mesh::Element& el : mesh_->elements()) {
-    const int lo = std::min({el.n[0], el.n[1], el.n[2]});
-    for (int n : el.n) {
-      low_node[static_cast<size_t>(n)] =
-          std::min(low_node[static_cast<size_t>(n)], lo);
-    }
-  }
+  const std::vector<int> low_node = mesh::lowest_neighbors(*mesh_);
   std::vector<int> low(static_cast<size_t>(num_dofs()));
-  for (int n = 0; n < nn; ++n) {
+  for (size_t n = 0; n < low_node.size(); ++n) {
     // Both dofs of node n reach down to the x-dof of its lowest-numbered
     // coupled node (which is n itself when nothing lower couples in).
-    low[static_cast<size_t>(2 * n)] = 2 * low_node[static_cast<size_t>(n)];
-    low[static_cast<size_t>(2 * n + 1)] = 2 * low_node[static_cast<size_t>(n)];
+    low[2 * n] = 2 * low_node[n];
+    low[2 * n + 1] = 2 * low_node[n];
   }
   return low;
 }
 
-void StaticProblem::assemble(BandedMatrix& k, std::vector<double>& rhs,
-                             std::vector<DirichletRhsOp>* record) const {
-  assemble_constrained(*this, k, rhs, record);
-}
-
 void StaticProblem::assemble(SkylineMatrix& k, std::vector<double>& rhs,
                              std::vector<DirichletRhsOp>* record) const {
-  assemble_constrained(*this, k, rhs, record);
-}
-
-void StaticProblem::assemble_unconstrained(BandedMatrix& k,
-                                           std::vector<double>& rhs) const {
-  FEIO_REQUIRE(k.size() == num_dofs(), "stiffness matrix size mismatch");
-  FEIO_TRACE_SPAN(span, "fem.assemble");
-  span.arg("elements", mesh_->num_elements());
-  util::guard_check_dofs(num_dofs(), "stiffness dofs");
-  FEIO_FAULT("fem.assemble");
-  assemble_stiffness(*this, k);
-  assemble_load_rhs(rhs);
+  assemble_unconstrained(k, rhs);
+  FEIO_REQUIRE(!constraints_.empty(),
+               "structure has no constraints (rigid-body motion)");
+  for (const Constraint& c : constraints_) {
+    if (c.fix_x) k.apply_dirichlet(2 * c.node, c.value_x, rhs, record);
+    if (c.fix_y) k.apply_dirichlet(2 * c.node + 1, c.value_y, rhs, record);
+  }
 }
 
 void StaticProblem::assemble_unconstrained(SkylineMatrix& k,

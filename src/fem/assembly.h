@@ -4,14 +4,12 @@
 #include <optional>
 #include <vector>
 
-#include "fem/banded.h"
 #include "fem/element.h"
 #include "fem/material.h"
+#include "fem/skyline.h"
 #include "mesh/tri_mesh.h"
 
 namespace feio::fem {
-
-class SkylineMatrix;
 
 struct Constraint {
   int node = -1;
@@ -78,23 +76,17 @@ class StaticProblem {
   // true column heights and nothing more.
   std::vector<int> dof_skyline_lows() const;
 
-  // Assembles stiffness and load vector with constraints applied.
-  // Exposed (rather than hidden in solve) for the bandwidth bench. When
-  // `record` is non-null, the Dirichlet rhs transformation is recorded so
-  // the factor cache can replay it against a different load vector
-  // (fem/factor_cache.h).
-  void assemble(BandedMatrix& k, std::vector<double>& rhs,
-                std::vector<DirichletRhsOp>* record = nullptr) const;
-  // Skyline overload: same element loop, same merge order, same recorded
-  // Dirichlet sequence — only the storage the entries land in differs.
+  // Assembles stiffness and load vector with constraints applied into a
+  // matrix built from dof_skyline_lows(). Exposed (rather than hidden in
+  // solve) for the bandwidth bench. When `record` is non-null, the
+  // Dirichlet rhs transformation is recorded so the factor cache can
+  // replay it against a different load vector (fem/factor_cache.h).
   void assemble(SkylineMatrix& k, std::vector<double>& rhs,
                 std::vector<DirichletRhsOp>* record = nullptr) const;
 
   // Assembles without applying any constraint — the raw K and f needed to
   // recover constraint reactions (R = K u - f), which the contact solver
   // uses to decide which supports carry load.
-  void assemble_unconstrained(BandedMatrix& k,
-                              std::vector<double>& rhs) const;
   void assemble_unconstrained(SkylineMatrix& k,
                               std::vector<double>& rhs) const;
 

@@ -18,7 +18,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
   }
 
   // The unconstrained system is iteration-invariant: assemble once.
-  BandedMatrix k0(problem.num_dofs(), problem.dof_half_bandwidth());
+  SkylineMatrix k0(problem.dof_skyline_lows());
   std::vector<double> f0;
   problem.assemble_unconstrained(k0, f0);
 
@@ -33,7 +33,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
     FEIO_METRIC_ADD("fem.contact.iterations", 1);
 
     // Constrained copy for this active set.
-    BandedMatrix k = k0;
+    SkylineMatrix k = k0;
     std::vector<double> rhs = f0;
     for (const Constraint& c : problem.constraints()) {
       if (c.fix_x) k.apply_dirichlet(2 * c.node, c.value_x, rhs);

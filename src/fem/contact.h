@@ -10,7 +10,7 @@
 // the reaction. solve_with_contact resolves the active set iteratively:
 // supports whose reaction goes tensile are released, released nodes that
 // penetrate are re-engaged, repeating until the set is stable. For the
-// linear substrate each iteration is one banded solve, so the loop
+// linear substrate each iteration is one envelope solve, so the loop
 // terminates quickly in practice (the active set shrinks/grows
 // monotonically in typical seat problems).
 #pragma once

@@ -148,11 +148,6 @@ FactorKey factor_key(const StaticProblem& problem) {
           hash_operator(problem)};
 }
 
-std::uint64_t factor_config(SolverStorage storage, OrderingChoice ordering) {
-  return (static_cast<std::uint64_t>(storage) << 8) |
-         static_cast<std::uint64_t>(ordering);
-}
-
 std::uint64_t loads_key(const StaticProblem& problem) {
   Fnv64 f;
   f.i64(static_cast<std::int64_t>(problem.point_loads().size()));

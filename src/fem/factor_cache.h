@@ -1,19 +1,17 @@
 // Bounded LRU of factorized stiffness systems for the serve path.
 //
 // A repeat job re-assembles and re-factorizes an identical stiffness matrix
-// — the O(n * hbw^2) step that dominates every static solve. The cache keys
-// the *operator* of a StaticProblem by three 64-bit content hashes (mesh
-// geometry/topology, material field, constraints + thermal field) plus a
-// configuration tag (storage kind and ordering choice — see factor_config,
-// so a banded factor can never alias a skyline factor of the same
-// operator, nor one ordering's factor another's); the load vector (point
-// loads + edge pressures) is hashed separately via loads_key() and is NOT
-// part of the key. One cached factorization therefore serves any number of
-// load cases: a hit re-assembles only the unconstrained rhs, replays the
-// recorded Dirichlet rhs transformation (whose coefficients are
-// load-independent pre-elimination K entries), and runs the const solve()
-// against the cached factor bytes — bit-identical to a cold solve at any
-// thread count.
+// — the step that dominates every static solve. The cache keys the
+// *operator* of a StaticProblem by three 64-bit content hashes (mesh
+// geometry/topology, material field, constraints + thermal field); a
+// renumbered mesh hashes differently, so one ordering's factor never
+// aliases another's. The load vector (point loads + edge pressures) is
+// hashed separately via loads_key() and is NOT part of the key. One cached
+// factorization therefore serves any number of load cases: a hit
+// re-assembles only the unconstrained rhs, replays the recorded Dirichlet
+// rhs transformation (whose coefficients are load-independent
+// pre-elimination K entries), and runs the const solve() against the
+// cached factor bytes — bit-identical to a cold solve at any thread count.
 //
 // Entries are immutable shared_ptr<const FactorEntry>; concurrent workers
 // can solve against the same cached factor (solve() only reads the
@@ -36,12 +34,9 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <variant>
 #include <vector>
 
-#include "fem/banded.h"
 #include "fem/skyline.h"
-#include "feio/run_options.h"
 #include "util/lru.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
@@ -51,14 +46,11 @@ namespace feio::fem {
 class StaticProblem;
 
 // Operator identity: everything that determines the factorized matrix.
-// Loads are deliberately absent — see loads_key(). `config` carries the
-// storage kind and ordering choice (factor_config) so differently-shaped
-// factors of the same operator occupy distinct slots.
+// Loads are deliberately absent — see loads_key().
 struct FactorKey {
   std::uint64_t mesh_hash = 0;
   std::uint64_t material_hash = 0;
   std::uint64_t operator_hash = 0;  // constraints + thermal field
-  std::uint64_t config = 0;         // storage kind + ordering choice
 };
 
 inline bool operator<(const FactorKey& a, const FactorKey& b) {
@@ -66,36 +58,23 @@ inline bool operator<(const FactorKey& a, const FactorKey& b) {
   if (a.material_hash != b.material_hash) {
     return a.material_hash < b.material_hash;
   }
-  if (a.operator_hash != b.operator_hash) {
-    return a.operator_hash < b.operator_hash;
-  }
-  return a.config < b.config;
+  return a.operator_hash < b.operator_hash;
 }
 
 inline bool operator==(const FactorKey& a, const FactorKey& b) {
   return a.mesh_hash == b.mesh_hash && a.material_hash == b.material_hash &&
-         a.operator_hash == b.operator_hash && a.config == b.config;
+         a.operator_hash == b.operator_hash;
 }
 
-// The reusable result of assemble + factorize: the factorized matrix (in
-// whichever storage the solve selected), the recorded Dirichlet rhs op
-// sequence (so a new load vector can be constrained identically), and the
-// hash of the loads the entry was filled with (only used to count
-// load_reuses — hits that solve a different load case than the one that
-// populated the entry).
+// The reusable result of assemble + factorize: the factorized matrix, the
+// recorded Dirichlet rhs op sequence (so a new load vector can be
+// constrained identically), and the hash of the loads the entry was filled
+// with (only used to count load_reuses — hits that solve a different load
+// case than the one that populated the entry).
 struct FactorEntry {
-  std::variant<BandedMatrix, SkylineMatrix> matrix;
+  SkylineMatrix matrix;
   std::vector<DirichletRhsOp> rhs_ops;
   std::uint64_t loads_hash = 0;
-
-  // Solves against whichever storage the entry holds (both are const,
-  // deterministic, and bit-identical to their cold paths).
-  void solve(std::vector<double>& rhs) const {
-    std::visit([&rhs](const auto& m) { m.solve(rhs); }, matrix);
-  }
-  bool is_skyline() const {
-    return std::holds_alternative<SkylineMatrix>(matrix);
-  }
 };
 
 struct FactorCacheStats {
@@ -157,15 +136,8 @@ class FactorCache {
 // alpha/t_ref also feed stress recovery, so they stay conservative in the
 // operator key). FNV-1a over exact bit patterns — any bitwise change to any
 // input yields a different key, so a hit can only replay a byte-identical
-// operator. The returned key's `config` is 0 (banded, deck-default
-// ordering); callers selecting storage/ordering stamp it via
-// factor_config().
+// operator.
 FactorKey factor_key(const StaticProblem& problem);
-
-// The key's configuration tag for a storage kind + ordering choice pair.
-// Kept trivially decodable rather than hashed: the enum values are small
-// and the tag only needs to separate slots, not hide structure.
-std::uint64_t factor_config(SolverStorage storage, OrderingChoice ordering);
 
 // Content hash of the load vector definition (point loads + edge
 // pressures) — the half of the old monolithic key that no longer gates

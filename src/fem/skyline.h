@@ -1,26 +1,48 @@
-// Symmetric compressed-skyline (envelope) matrix with in-envelope LDL^T.
+// Symmetric compressed-skyline (envelope) matrix with in-envelope LDL^T —
+// the one stiffness layout of the analysis.
 //
-// The banded solver pays n * (hbw+1) storage and n * hbw^2 factor flops
-// even when most columns are far shorter than the worst one — exactly what
-// shaped geometries (plates with holes, branches, strips meeting at
-// angles) produce after RCM. Skyline storage keeps one packed column per
-// equation, sized by that column's true height, and the no-pivoting LDL^T
-// fill stays inside the envelope, so storage and flops scale with the
-// profile (the column-height sum) instead of the worst-case band.
+// Skyline storage keeps one packed row per equation, sized by that row's
+// true height, and the no-pivoting LDL^T fill stays inside the envelope, so
+// storage and flops scale with the profile (the column-height sum). A band
+// is the special case whose rows all start at i - hbw, which is why the
+// paper's bandwidth renumbering (claim C6) still pays off here: RCM shrinks
+// the envelope along with the band.
 //
-// The factorization is blocked and deterministic under the same contract
-// as BandedMatrix: the panel partition and every entry's update-sum order
-// depend only on the matrix structure, never the thread count, so factors
-// are bit-identical at any thread setting. Cancel, guard, and fault sites
-// mirror fem/banded.cc (fem.alloc, fem.factorize.column/panel).
+// The factorization is blocked and deterministic: the panel partition and
+// every entry's update-sum order depend only on the matrix structure, never
+// the thread count, so factors are bit-identical at any thread setting.
+// Cancel, guard, and fault sites: fem.alloc, fem.factorize.column/panel.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "fem/banded.h"  // DirichletRhsOp / replay_dirichlet_rhs
-
 namespace feio::fem {
+
+// One rhs-side effect of a Dirichlet application, recorded during the cold
+// assemble so the factor cache can re-apply the identical transformation to
+// a *different* load vector. The coefficients are the pre-elimination K
+// entries apply_dirichlet saw — load-independent, so replaying them against
+// a fresh rhs reproduces the constrained rhs bit-for-bit (same values, same
+// order, same arithmetic).
+struct DirichletRhsOp {
+  int dof = -1;        // rhs index affected
+  double coeff = 0.0;  // K(i, j) at application time (unused for set ops)
+  double value = 0.0;  // prescribed displacement
+  bool is_set = false; // true: rhs[dof] = value; false: rhs[dof] -= coeff*value
+};
+
+// Replays a recorded Dirichlet op sequence against an unconstrained rhs.
+inline void replay_dirichlet_rhs(const std::vector<DirichletRhsOp>& ops,
+                                 std::vector<double>& rhs) {
+  for (const DirichletRhsOp& op : ops) {
+    if (op.is_set) {
+      rhs[static_cast<std::size_t>(op.dof)] = op.value;
+    } else {
+      rhs[static_cast<std::size_t>(op.dof)] -= op.coeff * op.value;
+    }
+  }
+}
 
 class SkylineMatrix {
  public:
@@ -45,18 +67,22 @@ class SkylineMatrix {
   void set(int i, int j, double v);
   void add(int i, int j, double v);
 
-  // Identical contract to BandedMatrix::apply_dirichlet: row/column i
-  // becomes the identity, prescribed-value contributions move to the rhs,
-  // and every rhs mutation is optionally recorded for factor-cache replay.
+  // Replaces row/column i with the identity row and moves the prescribed
+  // value's contributions to the right-hand side: the classic direct method
+  // for Dirichlet conditions that preserves symmetry and the envelope. When
+  // `record` is non-null, every rhs mutation is appended as a
+  // DirichletRhsOp so the sequence can later be replayed against a new
+  // unconstrained rhs (see fem/factor_cache.h).
   void apply_dirichlet(int i, double value, std::vector<double>& rhs,
                        std::vector<DirichletRhsOp>* record = nullptr);
 
-  // y = A x for the unfactorized matrix.
+  // y = A x for the unfactorized matrix (reaction recovery, residuals).
   void multiply(const std::vector<double>& x, std::vector<double>& y) const;
 
   // In-place LDL^T factorization restricted to the envelope (which is
   // closed under no-pivoting LDL^T fill). Throws feio::Error on a
-  // non-positive pivot. Bit-identical at any thread count.
+  // non-positive pivot (singular or indefinite system — usually an
+  // under-constrained structure). Bit-identical at any thread count.
   void factorize();
   bool factorized() const { return factorized_; }
 
@@ -66,8 +92,9 @@ class SkylineMatrix {
   // Number of stored doubles (the profile in dof terms).
   std::size_t storage() const { return sky_.size(); }
 
-  // Raw storage + structure, and the factor-cache rebuild path — the same
-  // snapshot/adopt contract as BandedMatrix::band()/adopt_factor().
+  // Raw storage + structure. After factorize() the values are the exact
+  // factor bytes; adopt_factor() rebuilds a solve-ready matrix from them,
+  // which is what makes factor-cache hits bit-identical to the cold path.
   const std::vector<double>& values() const { return sky_; }
   const std::vector<int>& column_lows() const { return low_; }
   static SkylineMatrix adopt_factor(std::vector<int> column_lows,

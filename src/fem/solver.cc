@@ -25,30 +25,7 @@ StaticSolution unpack(const StaticProblem& problem,
   return sol;
 }
 
-// Resolves kAuto against the predictor and records the decision: one span
-// with the chosen layout and both exact byte counts, plus a
-// fem.solver.storage.{banded,skyline} counter bump. Forced layouts are
-// recorded too — the bench ablation reads the same telemetry either way.
-SolverStorage select_storage(const StaticProblem& problem,
-                             SolverStorage requested) {
-  const StoragePrediction pred = predict_storage(problem);
-  SolverStorage resolved = requested;
-  if (resolved == SolverStorage::kAuto) {
-    resolved = pred.use_skyline ? SolverStorage::kSkyline
-                                : SolverStorage::kBanded;
-  }
-  const bool skyline = resolved == SolverStorage::kSkyline;
-  FEIO_TRACE_SPAN(span, "fem.solver.select");
-  span.arg("storage", skyline ? "skyline" : "banded");
-  span.arg("auto", requested == SolverStorage::kAuto ? 1 : 0);
-  span.arg("band_bytes", pred.band_bytes);
-  span.arg("skyline_bytes", pred.skyline_bytes);
-  FEIO_METRIC_ADD_DYN("fem.solver.storage.",
-                      skyline ? "skyline" : "banded", 1);
-  return resolved;
-}
-
-StaticSolution solve_cold_skyline(const StaticProblem& problem) {
+StaticSolution solve_cold(const StaticProblem& problem) {
   SkylineMatrix k(problem.dof_skyline_lows());
   std::vector<double> rhs;
   problem.assemble(k, rhs);
@@ -58,55 +35,39 @@ StaticSolution solve_cold_skyline(const StaticProblem& problem) {
   return unpack(problem, rhs);
 }
 
-StaticSolution solve_cached(const StaticProblem& problem, FactorCache& cache,
-                            SolverStorage storage, OrderingChoice ordering) {
-  FactorKey key = factor_key(problem);
-  key.config = factor_config(storage, ordering);
+StaticSolution solve_cached(const StaticProblem& problem, FactorCache& cache) {
+  const FactorKey key = factor_key(problem);
   const std::uint64_t loads = loads_key(problem);
   if (const auto entry = cache.get(key, loads)) {
     // Warm path: the operator (mesh + material + constraints + thermal)
-    // matches under this storage/ordering config, so only the load vector
-    // needs rebuilding. assemble_load_rhs runs the same rhs arithmetic as
-    // the cold path, the recorded Dirichlet ops re-apply the identical
-    // constraint transformation (their coefficients are load-independent),
-    // and the cached factor bytes make the (banded or skyline) solve
-    // deterministic — so the result is bit-identical to a cold solve of
-    // this exact load case at any thread count. No FEIO_FAULT site runs
-    // here — an armed fault cannot fire on a hit.
+    // matches, so only the load vector needs rebuilding. assemble_load_rhs
+    // runs the same rhs arithmetic as the cold path, the recorded Dirichlet
+    // ops re-apply the identical constraint transformation (their
+    // coefficients are load-independent), and the cached factor bytes make
+    // the solve deterministic — so the result is bit-identical to a cold
+    // solve of this exact load case at any thread count. No FEIO_FAULT site
+    // runs here — an armed fault cannot fire on a hit.
     std::vector<double> rhs;
     problem.assemble_load_rhs(rhs);
     replay_dirichlet_rhs(entry->rhs_ops, rhs);
-    entry->solve(rhs);
+    entry->matrix.solve(rhs);
     FEIO_METRIC_ADD("fem.static_solves", 1);
     return unpack(problem, rhs);
   }
 
+  SkylineMatrix k(problem.dof_skyline_lows());
   std::vector<double> rhs;
   std::vector<DirichletRhsOp> rhs_ops;
-  std::vector<double> rhs_solved;
-  std::shared_ptr<const FactorEntry> entry;
-  if (storage == SolverStorage::kSkyline) {
-    SkylineMatrix k(problem.dof_skyline_lows());
-    problem.assemble(k, rhs, &rhs_ops);
-    k.factorize();
-    rhs_solved = rhs;
-    k.solve(rhs_solved);
-    entry = std::make_shared<const FactorEntry>(
-        FactorEntry{std::move(k), std::move(rhs_ops), loads});
-  } else {
-    BandedMatrix k(problem.num_dofs(), problem.dof_half_bandwidth());
-    problem.assemble(k, rhs, &rhs_ops);
-    k.factorize();
-    rhs_solved = rhs;
-    k.solve(rhs_solved);
-    entry = std::make_shared<const FactorEntry>(
-        FactorEntry{std::move(k), std::move(rhs_ops), loads});
-  }
+  problem.assemble(k, rhs, &rhs_ops);
+  k.factorize();
+  std::vector<double> rhs_solved = rhs;
+  k.solve(rhs_solved);
   FEIO_METRIC_ADD("fem.static_solves", 1);
   // Insert only now, with the solve fully succeeded: a deadline, injected
   // fault, or singular pivot above threw past this line, so a failed job
   // never poisons the cache.
-  cache.put(key, std::move(entry));
+  cache.put(key, std::make_shared<const FactorEntry>(
+                     FactorEntry{std::move(k), std::move(rhs_ops), loads}));
   return unpack(problem, rhs_solved);
 }
 
@@ -124,37 +85,17 @@ StoragePrediction predict_storage(const StaticProblem& problem) {
   const std::int64_t node_profile = mesh::profile(m);
   const std::int64_t entries = 4 * node_profile - m.num_nodes();
   pred.skyline_bytes = util::checked_skyline_bytes(entries);
-  // Skyline wins only by a margin (< 3/4 of banded): near-full envelopes
-  // (uniform strips sit around 0.99) should not flap onto the narrower-row
-  // skyline kernels for a few percent of storage. Subtract-a-quarter form
-  // avoids overflow on saturated byte counts.
-  pred.use_skyline =
-      pred.skyline_bytes < pred.band_bytes - pred.band_bytes / 4;
   return pred;
-}
-
-StaticSolution solve(const StaticProblem& problem) {
-  BandedMatrix k(problem.num_dofs(), problem.dof_half_bandwidth());
-  std::vector<double> rhs;
-  problem.assemble(k, rhs);
-  k.factorize();
-  k.solve(rhs);
-  FEIO_METRIC_ADD("fem.static_solves", 1);
-  return unpack(problem, rhs);
 }
 
 StaticSolution solve(const StaticProblem& problem, const RunOptions& opts) {
   util::ScopedThreads threads(opts.threads);
   util::ScopedTracerInstall tracer(opts.tracer);
   util::ScopedMetricsInstall metrics(opts.metrics);
-  const SolverStorage storage = select_storage(problem, opts.solver_storage);
   if (opts.factor_cache != nullptr) {
-    return solve_cached(problem, *opts.factor_cache, storage, opts.ordering);
+    return solve_cached(problem, *opts.factor_cache);
   }
-  if (storage == SolverStorage::kSkyline) {
-    return solve_cold_skyline(problem);
-  }
-  return solve(problem);
+  return solve_cold(problem);
 }
 
 }  // namespace feio::fem

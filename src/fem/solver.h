@@ -17,42 +17,31 @@ struct StaticSolution {
   }
 };
 
-// The fill predictor behind SolverStorage::kAuto: exact storage of each
-// layout for this problem's dof numbering. band_bytes is the banded factor
-// (n * (hbw+1) doubles); skyline_bytes is the true envelope (the dof
-// column-height sum, derived from mesh::profile — see predict_storage).
-// use_skyline is true when the envelope is smaller by a margin
-// (skyline < 3/4 of banded), so near-full-band meshes like uniform strips
-// keep the banded path and its wider SIMD-friendly rows.
+// A size report of the stiffness factor for this problem's dof numbering:
+// band_bytes is what a band of the dof half-bandwidth would hold
+// (n * (hbw+1) doubles); skyline_bytes is the true envelope the solve
+// stores (the dof column-height sum, derived from mesh::profile — see
+// predict_storage). The envelope is the only layout, so use_skyline is
+// always true; the ratio of the two byte counts is what bandwidth
+// renumbering buys.
 struct StoragePrediction {
-  bool use_skyline = false;
+  bool use_skyline = true;
   std::int64_t band_bytes = 0;
   std::int64_t skyline_bytes = 0;
 };
 
-// Structure-only (reads the mesh numbering, touches no matrix values), so
-// the auto decision is deterministic and cheap enough to run per solve.
+// Structure-only (reads the mesh numbering, touches no matrix values).
 StoragePrediction predict_storage(const StaticProblem& problem);
 
-// Assembles, applies constraints, factorizes (banded LDL^T) and solves.
-// Throws feio::Error on singular systems.
-StaticSolution solve(const StaticProblem& problem);
-
-// Same, under a RunOptions block: `threads` scopes the thread count for the
+// Assembles, applies constraints, factorizes (envelope LDL^T) and solves
+// under a RunOptions block: `threads` scopes the thread count for the
 // parallel assembly/factorization stages, and the tracer/metrics sinks are
 // installed for the duration of the call (spans fem.assemble,
-// fem.factorize, fem.solve). opts.solver_storage selects the stiffness
-// layout — banded, skyline, or kAuto via predict_storage — recorded on the
-// fem.solver.select span (storage + both byte counts) and in the
-// fem.solver.storage.{banded,skyline} counters. When opts.factor_cache is
-// set, the solve consults the factorized-stiffness LRU first
-// (fem/factor_cache.h) under a key that includes the resolved storage and
-// opts.ordering, so differently-configured factors never alias: a hit
+// fem.factorize, fem.solve). When opts.factor_cache is set, the solve
+// consults the factorized-stiffness LRU first (fem/factor_cache.h): a hit
 // skips assembly and factorization entirely and a successful cold solve
-// populates the cache. Output is byte-identical to the one-argument
-// overload at any thread count, cached or cold, when the banded layout is
-// selected; the skyline layout is deterministic and bit-identical across
-// thread counts in its own right.
+// populates the cache. Output is byte-identical at any thread count,
+// cached or cold. Throws feio::Error on singular systems.
 StaticSolution solve(const StaticProblem& problem, const RunOptions& opts);
 
 }  // namespace feio::fem

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "fem/skyline.h"
+#include "mesh/bandwidth.h"
 #include "util/error.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -36,19 +38,9 @@ std::vector<std::vector<double>> ThermalProblem::integrate(
   span.arg("nodes", mesh_->num_nodes());
 
   const int n = mesh_->num_nodes();
-  int node_bw = 0;
-  for (const mesh::Element& el : mesh_->elements()) {
-    for (int i = 0; i < 3; ++i) {
-      for (int j = i + 1; j < 3; ++j) {
-        node_bw = std::max(node_bw, std::abs(el.n[static_cast<size_t>(i)] -
-                                             el.n[static_cast<size_t>(j)]));
-      }
-    }
-  }
-
   // System matrix A = C/dt + K (constant over the run) and the lumped
   // capacitance diagonal.
-  BandedMatrix a(n, node_bw);
+  SkylineMatrix a(mesh::lowest_neighbors(*mesh_));
   std::vector<double> cap(static_cast<size_t>(n), 0.0);
   for (int e = 0; e < mesh_->num_elements(); ++e) {
     const ThermalElement te = thermal_matrices(

@@ -3,7 +3,7 @@
 // exposed to a thermal radiation pulse", Figure 14).
 //
 // Lumped capacitance, implicit (backward Euler) time stepping on the same
-// banded LDL^T solver as the static analysis: (C/dt + K) T_{n+1} =
+// envelope LDL^T solver as the static analysis: (C/dt + K) T_{n+1} =
 // (C/dt) T_n + Q(t_{n+1}). The pulse is a prescribed surface heat flux on
 // selected boundary edges, active for a finite duration.
 #pragma once
@@ -11,7 +11,6 @@
 #include <functional>
 #include <vector>
 
-#include "fem/banded.h"
 #include "fem/element.h"
 #include "mesh/tri_mesh.h"
 

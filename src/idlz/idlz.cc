@@ -66,9 +66,8 @@ IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
 
   // 4. Optionally renumber the nodes to ensure a narrow bandwidth.
   // opts.ordering can override the deck: kNone forces the pass off, kRcm
-  // and kHilbert force it on with the named scheme; kDeckDefault keeps the
-  // deck's NONUMB flag and scheme (the ordering axis of the solver bench's
-  // ablation rides through here).
+  // forces it on with RCM; kDeckDefault keeps the deck's NONUMB flag and
+  // scheme (the ordering axis of the solver bench rides through here).
   bool renumber_nodes = c.options.renumber_nodes;
   NumberingScheme scheme = c.options.scheme;
   switch (opts.ordering) {
@@ -80,10 +79,6 @@ IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
     case OrderingChoice::kRcm:
       renumber_nodes = true;
       scheme = NumberingScheme::kReverseCuthillMcKee;
-      break;
-    case OrderingChoice::kHilbert:
-      renumber_nodes = true;
-      scheme = NumberingScheme::kHilbert;
       break;
   }
   if (renumber_nodes) {

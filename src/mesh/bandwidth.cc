@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <numeric>
 #include <vector>
 
 namespace feio::mesh {
@@ -19,21 +20,24 @@ int bandwidth(const TriMesh& mesh) {
   return bw;
 }
 
-long profile(const TriMesh& mesh) {
-  // lowest_nbr[i]: smallest node index coupled to i (including i itself).
-  std::vector<int> lowest(static_cast<size_t>(mesh.num_nodes()), 0);
-  for (int i = 0; i < mesh.num_nodes(); ++i) lowest[static_cast<size_t>(i)] = i;
+std::vector<int> lowest_neighbors(const TriMesh& mesh) {
+  std::vector<int> lowest(static_cast<size_t>(mesh.num_nodes()));
+  std::iota(lowest.begin(), lowest.end(), 0);
   for (const Element& el : mesh.elements()) {
     const int lo = std::min({el.n[0], el.n[1], el.n[2]});
     for (int n : el.n) {
       lowest[static_cast<size_t>(n)] = std::min(lowest[static_cast<size_t>(n)], lo);
     }
   }
+  return lowest;
+}
+
+long profile(const TriMesh& mesh) {
+  const std::vector<int> lowest = lowest_neighbors(mesh);
   long p = 0;
   for (int i = 0; i < mesh.num_nodes(); ++i) {
     // Column height including the diagonal: a row coupled only to itself
-    // still stores one entry. The old `i - lowest[i]` sum dropped the
-    // diagonal and under-counted every skyline-bytes estimate by n.
+    // still stores one entry.
     p += i - lowest[static_cast<size_t>(i)] + 1;
   }
   return p;

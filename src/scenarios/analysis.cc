@@ -19,7 +19,7 @@ using idlz::IdlzCase;
 using idlz::IdlzResult;
 
 IdlzResult idealize(IdlzCase c) {
-  c.options.renumber_nodes = true;  // narrow band for the banded solver
+  c.options.renumber_nodes = true;  // narrow envelope for the solver
   return idlz::run(c);
 }
 
@@ -101,7 +101,7 @@ AnalysisOutput fig13_analysis() {
     return std::abs(p.norm() - 11.2) < 1e-6;
   });
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   out.fields.push_back(make_field(
       "EFFECTIVE STRESS",
@@ -194,7 +194,7 @@ AnalysisOutput fig14_thermal_stress_analysis() {
   FEIO_REQUIRE(anchored > 0, "symmetry plane not found");
   prob.set_temperature_load(thermal.fields[0].values, 6.5e-6, 70.0);
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   out.fields.push_back(make_field(
       "EFFECTIVE THERMAL STRESS",
@@ -239,7 +239,7 @@ AnalysisOutput cylinder_closure_analysis(bool stiffened) {
     return std::abs((p - dome_center).norm() - 10.5) < 1e-6;
   });
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   if (stiffened) {
     out.fields.push_back(make_field(
@@ -299,7 +299,7 @@ AnalysisOutput fig17_analysis() {
     return std::abs(p.x - 5.0) < 1e-6;
   });
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   out.fields.push_back(make_field(
       "MERIDIONAL STRESS",
@@ -331,7 +331,7 @@ AnalysisOutput fig18_analysis() {
     return std::abs(p.norm() - 10.3) < 1e-6;
   });
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   out.fields.push_back(make_field(
       "CIRCUMFERENTIAL STRESS",
@@ -363,7 +363,7 @@ AnalysisOutput kirsch_analysis() {
     return std::abs(p.x - 5.0) < 1e-9;
   });
 
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   out.displacement = sol.displacement;
   // sigma_x is "s11" in plane terms; kRadial extracts s11.
   out.fields.push_back(make_field(

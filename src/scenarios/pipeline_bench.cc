@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "feio/run_options.h"
 #include "idlz/deck.h"
@@ -79,27 +80,29 @@ std::vector<double> synthetic_field(const mesh::TriMesh& m) {
 }
 
 // One serial-vs-parallel measurement. `work` must be a pure function of
-// its thread count; `fingerprint` hashes its result for the identical
-// check.
+// its thread count and return its result. Only work() is timed:
+// `fingerprint` renders one result per arm, outside the timed loop, for
+// the identical check.
 struct Measurement {
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   bool identical = false;
 };
 
-template <typename Fn>
-Measurement measure(int reps, int threads, Fn&& work) {
+template <typename Work, typename Fingerprint>
+Measurement measure(int reps, int threads, Work&& work,
+                    Fingerprint&& fingerprint) {
   Measurement m;
   std::string serial_fp;
   std::string parallel_fp;
   {
     util::ScopedThreads guard(1);
-    serial_fp = work();  // warm-up + fingerprint
+    serial_fp = fingerprint(work());  // warm-up + fingerprint
     m.serial_ms = time_min_ms(reps, [&] { work(); });
   }
   {
     util::ScopedThreads guard(threads);
-    parallel_fp = work();
+    parallel_fp = fingerprint(work());
     m.parallel_ms = time_min_ms(reps, [&] { work(); });
   }
   m.identical = serial_fp == parallel_fp;
@@ -256,12 +259,14 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
     const int elements = reference.mesh.num_elements();
     {
       const Measurement m =
-          measure(report.repetitions, report.threads, [&] {
-            return mesh_fingerprint(
-                idlz::assemble(c.subdivisions, c.options.limits,
-                               c.options.diagonals)
-                    .mesh);
-          });
+          measure(
+              report.repetitions, report.threads,
+              [&] {
+                return idlz::assemble(c.subdivisions, c.options.limits,
+                                      c.options.diagonals)
+                    .mesh;
+              },
+              mesh_fingerprint);
       report.cases.push_back({std::string("assemble/") + size.tag,
                               "assemble", nodes, elements,
                               static_cast<std::int64_t>(c.subdivisions.size()),
@@ -270,17 +275,19 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
                               m.identical});
     }
 
-    // Stage 2: shaping (re-assembles outside the stage fingerprint so the
-    // timed work is shape() on a fresh integer-grid assembly; assembly
-    // cost is included in the timing loop for both arms equally).
+    // Stage 2: shaping (the timed work is shape() on a fresh integer-grid
+    // assembly; assembly cost is included in the timing loop for both arms
+    // equally).
     {
-      const Measurement m =
-          measure(report.repetitions, report.threads, [&] {
+      const Measurement m = measure(
+          report.repetitions, report.threads,
+          [&] {
             idlz::Assembly a = idlz::assemble(
                 c.subdivisions, c.options.limits, c.options.diagonals);
             idlz::shape(c.subdivisions, c.shaping, a, c.options.limits);
-            return mesh_fingerprint(a.mesh);
-          });
+            return std::move(a.mesh);
+          },
+          mesh_fingerprint);
       report.cases.push_back({std::string("shape/") + size.tag, "shape",
                               nodes, elements,
                               static_cast<std::int64_t>(c.subdivisions.size()),
@@ -300,10 +307,12 @@ PipelineBenchReport run_pipeline_bench(int threads, bool quick) {
       const std::vector<double> levels = ospl::contour_levels(
           vmin, vmax, ospl::auto_interval(vmin, vmax));
       const Measurement m =
-          measure(report.repetitions, report.threads, [&] {
-            return segments_fingerprint(
-                ospl::extract_contours(shaped.mesh, values, levels));
-          });
+          measure(
+              report.repetitions, report.threads,
+              [&] {
+                return ospl::extract_contours(shaped.mesh, values, levels);
+              },
+              segments_fingerprint);
       report.cases.push_back({std::string("contours/") + size.tag,
                               "contours", nodes, elements, elements,
                               m.serial_ms, m.parallel_ms,

@@ -26,12 +26,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Cells over these caps are reported as skipped instead of run: a
-// pathological ordering (Hilbert on a long anisotropic domain) pushes the
-// half-bandwidth — or the envelope itself — toward n, and timing a
+// Cells over these caps are reported as skipped instead of run: a bad
+// ordering on a big mesh pushes the envelope toward n^2/2, and timing a
 // hundred-gigabyte or hours-of-flops factor teaches nothing the byte
-// counts don't already say. The flop model is n * (hbw+1)^2 for the band
-// and the exact sum of squared column heights for the skyline.
+// counts don't already say. The flop model is the exact sum of squared
+// column heights.
 constexpr std::int64_t kStorageBytesCap = std::int64_t{2} << 30;
 constexpr std::int64_t kFlopsCapQuick = 200'000'000;        // ~0.1 s
 constexpr std::int64_t kFlopsCapFull = 25'000'000'000;      // ~15 s
@@ -52,18 +51,13 @@ double time_min_ms(int reps, Fn&& fn) {
   return best;
 }
 
-// Bit-exact fingerprint of a double vector: two runs are byte-identical
-// iff their fingerprints match (hex of the raw bits, not a rounding).
-std::string bits_fingerprint(const std::vector<double>& v) {
-  std::ostringstream out;
-  char buf[20];
-  for (double x : v) {
-    std::snprintf(buf, sizeof buf, "%016llx;",
-                  static_cast<unsigned long long>(
-                      std::bit_cast<std::uint64_t>(x)));
-    out << buf;
-  }
-  return out.str();
+// Two runs are byte-identical iff every double has the same bit pattern.
+bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](double x, double y) {
+                      return std::bit_cast<std::uint64_t>(x) ==
+                             std::bit_cast<std::uint64_t>(y);
+                    });
 }
 
 // A bench mesh in generation order — the "none" ordering is whatever order
@@ -85,8 +79,8 @@ mesh::TriMesh strip_mesh(int k_cells, int l_cells, int subs) {
 // plate, solid for `rim` cell rows at the bottom and top, with two big
 // rectangular slots between leaving three 4-cell-wide vertical webs. Most
 // node rows hold only the 15 web nodes (short skyline columns), while the
-// full-width rim rows pin the banded half-bandwidth near the plate width —
-// the band pays the worst row everywhere, the envelope only where it must.
+// full-width rim rows pin the half-bandwidth near the plate width — a band
+// would pay the worst row everywhere, the envelope only where it must.
 // Nodes are emitted row-major (y outer, x ascending), unit cells.
 mesh::TriMesh plate_with_holes(int rows) {
   constexpr int kWidth = 64;  // cells across
@@ -146,10 +140,7 @@ std::vector<BenchMesh> bench_meshes(bool quick) {
     meshes.push_back({"strip32x312", strip_mesh(32, 312, 8)});
     meshes.push_back({"strip48x400", strip_mesh(48, 400, 8)});
     meshes.push_back({"plate_holes1000", plate_with_holes(1000)});
-    // ~990k dofs: the "up to 10^6" point. The banded factor here is ~1 GB
-    // and ~18e9 flops under none/RCM — just inside the caps, so the 2x
-    // claim is measured at full scale; the Hilbert cells (band and
-    // envelope both pathological on this anisotropic domain) skip.
+    // ~990k dofs: the "up to 10^6" point, inside the caps under none/RCM.
     meshes.push_back({"plate_holes33000", plate_with_holes(33000)});
   }
   return meshes;
@@ -185,38 +176,25 @@ struct Measurement {
 };
 
 // `work` must be a pure function of the process-default thread count and
-// return a bit-exact fingerprint of its result.
+// return its result. Only work() is timed; the serial and parallel results
+// are compared outside the timed loops.
 template <typename Fn>
 Measurement measure(int reps, int threads, Fn&& work) {
   Measurement m;
-  std::string serial_fp;
-  std::string parallel_fp;
+  std::vector<double> serial;
+  std::vector<double> parallel;
   {
     util::ScopedThreads guard(1);
-    serial_fp = work();  // warm-up + fingerprint
+    serial = work();  // warm-up + result
     m.serial_ms = time_min_ms(reps, [&] { work(); });
   }
   {
     util::ScopedThreads guard(threads);
-    parallel_fp = work();
+    parallel = work();
     m.parallel_ms = time_min_ms(reps, [&] { work(); });
   }
-  m.identical = serial_fp == parallel_fp;
+  m.identical = bits_equal(serial, parallel);
   return m;
-}
-
-const char* ordering_name(feio::OrderingChoice o) {
-  switch (o) {
-    case feio::OrderingChoice::kNone:
-      return "none";
-    case feio::OrderingChoice::kRcm:
-      return "rcm";
-    case feio::OrderingChoice::kHilbert:
-      return "hilbert";
-    case feio::OrderingChoice::kDeckDefault:
-      break;
-  }
-  return "deck";
 }
 
 }  // namespace
@@ -232,7 +210,7 @@ std::string SolverBenchReport::render_json() const {
   out << std::fixed;
   out << "{\n";
   out << report_header_json("bench");
-  out << "  \"payload_schema\": \"feio.bench.solver/2\",\n";
+  out << "  \"payload_schema\": \"feio.bench.solver/3\",\n";
   out << "  \"hardware_threads\": " << hardware_threads << ",\n";
   out << "  \"threads\": " << threads << ",\n";
   out << "  \"repetitions\": " << repetitions << ",\n";
@@ -246,8 +224,6 @@ std::string SolverBenchReport::render_json() const {
     out << "    {\"name\": \"" << json_escape(c.name) << "\", \"stage\": \""
         << json_escape(c.stage) << "\", \"mesh\": \"" << json_escape(c.mesh)
         << "\", \"ordering\": \"" << json_escape(c.ordering)
-        << "\", \"storage\": \"" << json_escape(c.storage)
-        << "\", \"auto_storage\": \"" << json_escape(c.auto_storage)
         << "\", \"n\": " << c.n << ", \"half_bandwidth\": " << c.half_bandwidth
         << ", \"node_bw\": " << c.node_bw
         << ", \"band_bytes\": " << c.band_bytes
@@ -272,29 +248,27 @@ std::string SolverBenchReport::render_table() const {
   std::ostringstream out;
   out << "bench_solver: " << threads << " threads (" << hardware_threads
       << " hardware), min of " << repetitions << " reps\n";
-  out << "  case                                            n   hbw   auto"
-         "     serial ms  parallel ms  speedup  identical\n";
+  out << "  case                                    n   hbw  envelope"
+         "  serial ms  parallel ms  speedup  identical\n";
   for (const SolverBenchCase& c : cases) {
     out << "  " << c.name;
-    for (size_t pad = c.name.size(); pad < 44; ++pad) out << ' ';
-    if (c.skipped) {
-      char row[120];
-      std::snprintf(row, sizeof row,
-                    "%9d %5d  %-7s  skipped (%s over harness cap; "
-                    "%lld bytes)\n",
-                    c.n, c.half_bandwidth, c.auto_storage.c_str(),
-                    c.storage.c_str(),
-                    static_cast<long long>(c.storage == "banded"
-                                               ? c.band_bytes
-                                               : c.skyline_bytes));
-      out << row;
-      continue;
-    }
+    for (size_t pad = c.name.size(); pad < 36; ++pad) out << ' ';
+    const double envelope = static_cast<double>(c.skyline_bytes) /
+                            static_cast<double>(std::max<std::int64_t>(
+                                c.band_bytes, 1));
     char row[120];
-    std::snprintf(row, sizeof row,
-                  "%9d %5d  %-7s %10.3f  %11.3f  %6.2fx  %s\n", c.n,
-                  c.half_bandwidth, c.auto_storage.c_str(), c.serial_ms,
-                  c.parallel_ms, c.speedup, c.identical ? "yes" : "NO");
+    if (c.skipped) {
+      std::snprintf(row, sizeof row,
+                    "%9d %5d  %8.3f  skipped (over harness cap; "
+                    "%lld bytes)\n",
+                    c.n, c.half_bandwidth, envelope,
+                    static_cast<long long>(c.skyline_bytes));
+    } else {
+      std::snprintf(row, sizeof row,
+                    "%9d %5d  %8.3f %10.3f  %11.3f  %6.2fx  %s\n", c.n,
+                    c.half_bandwidth, envelope, c.serial_ms, c.parallel_ms,
+                    c.speedup, c.identical ? "yes" : "NO");
+    }
     out << row;
   }
   return out.str();
@@ -307,39 +281,29 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
   report.quick = quick;
   report.repetitions = quick ? 2 : 3;
 
-  const feio::OrderingChoice orderings[] = {feio::OrderingChoice::kNone,
-                                            feio::OrderingChoice::kRcm,
-                                            feio::OrderingChoice::kHilbert};
-
   for (BenchMesh& bm : bench_meshes(quick)) {
-    for (const feio::OrderingChoice ordering : orderings) {
+    for (const bool rcm : {false, true}) {
       mesh::TriMesh m = bm.mesh;
-      if (ordering == feio::OrderingChoice::kRcm) {
+      if (rcm) {
         m.renumber_nodes(idlz::cuthill_mckee_permutation(m, /*reverse=*/true));
-      } else if (ordering == feio::OrderingChoice::kHilbert) {
-        m.renumber_nodes(idlz::hilbert_permutation(m));
       }
       const fem::StaticProblem prob = make_problem(m);
       const fem::StoragePrediction pred = fem::predict_storage(prob);
       const int n = prob.num_dofs();
       const int hbw = prob.dof_half_bandwidth();
       const int node_bw = mesh::bandwidth(m);
-      const char* oname = ordering_name(ordering);
-      const char* auto_name = pred.use_skyline ? "skyline" : "banded";
+      const char* oname = rcm ? "rcm" : "none";
       // Big systems repeat once: the factor dominates and the min-of-reps
       // guard matters less than the wall-clock budget.
       const int reps = n > 200000 ? 1 : report.repetitions;
 
-      auto push = [&](const char* stage, const char* storage,
-                      const Measurement& meas, bool skipped) {
+      auto push = [&](const char* stage, const Measurement& meas,
+                      bool skipped) {
         SolverBenchCase c;
-        c.name = std::string(stage) + "/" + bm.tag + "/" + oname + "/" +
-                 storage;
+        c.name = std::string(stage) + "/" + bm.tag + "/" + oname;
         c.stage = stage;
         c.mesh = bm.tag;
         c.ordering = oname;
-        c.storage = storage;
-        c.auto_storage = auto_name;
         c.n = n;
         c.half_bandwidth = hbw;
         c.node_bw = node_bw;
@@ -355,84 +319,52 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
         report.cases.push_back(std::move(c));
       };
 
-      const std::int64_t flops_cap = quick ? kFlopsCapQuick : kFlopsCapFull;
-      const std::int64_t band_flops =
-          static_cast<std::int64_t>(n) * (hbw + 1) * (hbw + 1);
-      const bool band_fits =
-          pred.band_bytes <= kStorageBytesCap && band_flops <= flops_cap;
-
       const std::vector<int> lows = prob.dof_skyline_lows();
-      std::int64_t sky_flops = 0;
+      std::int64_t flops = 0;
       for (int i = 0; i < n; ++i) {
         const std::int64_t h = i - lows[static_cast<std::size_t>(i)] + 1;
-        sky_flops += h * h;
+        flops += h * h;
       }
-      const bool sky_fits =
-          pred.skyline_bytes <= kStorageBytesCap && sky_flops <= flops_cap;
+      const bool fits = pred.skyline_bytes <= kStorageBytesCap &&
+                        flops <= (quick ? kFlopsCapQuick : kFlopsCapFull);
+      if (!fits) {
+        push("assemble", {}, true);
+        push("factor_solve", {}, true);
+        continue;
+      }
 
-      // Stage 1: parallel element assembly into each storage. The skyline
-      // envelope comes from the problem's exact dof column lows.
-      if (band_fits) {
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::BandedMatrix k(n, hbw);
-          std::vector<double> rhs;
-          prob.assemble(k, rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("assemble", "banded", meas, false);
-      } else {
-        push("assemble", "banded", {}, true);
-      }
-      if (sky_fits) {
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::SkylineMatrix k(lows);
-          std::vector<double> rhs;
-          prob.assemble(k, rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("assemble", "skyline", meas, false);
-      } else {
-        push("assemble", "skyline", {}, true);
-      }
+      // Stage 1: parallel element assembly into the problem's envelope.
+      push("assemble",
+           measure(reps, report.threads,
+                   [&] {
+                     fem::SkylineMatrix k(lows);
+                     std::vector<double> rhs;
+                     prob.assemble(k, rhs);
+                     return rhs;
+                   }),
+           false);
 
       // Stage 2: blocked factorize + solve. Assembly runs outside the
       // timed lambda: each rep factorizes a fresh copy.
-      if (band_fits) {
-        fem::BandedMatrix k0(n, hbw);
-        std::vector<double> rhs0;
-        prob.assemble(k0, rhs0);
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::BandedMatrix k = k0;
-          std::vector<double> rhs = rhs0;
-          k.factorize();
-          k.solve(rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("factor_solve", "banded", meas, false);
-      } else {
-        push("factor_solve", "banded", {}, true);
-      }
-      if (sky_fits) {
-        fem::SkylineMatrix k0(lows);
-        std::vector<double> rhs0;
-        prob.assemble(k0, rhs0);
-        const Measurement meas = measure(reps, report.threads, [&] {
-          fem::SkylineMatrix k = k0;
-          std::vector<double> rhs = rhs0;
-          k.factorize();
-          k.solve(rhs);
-          return bits_fingerprint(rhs);
-        });
-        push("factor_solve", "skyline", meas, false);
-      } else {
-        push("factor_solve", "skyline", {}, true);
-      }
+      fem::SkylineMatrix k0(lows);
+      std::vector<double> rhs0;
+      prob.assemble(k0, rhs0);
+      push("factor_solve",
+           measure(reps, report.threads,
+                   [&] {
+                     fem::SkylineMatrix k = k0;
+                     std::vector<double> rhs = rhs0;
+                     k.factorize();
+                     k.solve(rhs);
+                     return rhs;
+                   }),
+           false);
     }
   }
 
-  // One metered kAuto solve of the plate mesh outside the timed loops
-  // supplies the metrics snapshot: the fem.solver.storage.* selection
-  // counters, fem.factorize.panels, fem.static_solves, parallel.*.
+  // One metered solve of the plate mesh outside the timed loops supplies
+  // the metrics snapshot: fem.factorize.panels, fem.static_solves,
+  // parallel.*.
   {
     const mesh::TriMesh m = quick ? plate_with_holes(96) : plate_with_holes(400);
     util::MetricsRegistry metrics;

@@ -1,22 +1,19 @@
-// The `bench_solver` harness: an ordering x storage x threads ablation of
-// the FEM hot path. For every bench mesh (IDLZ strips plus a
-// plate-with-holes geometry whose webs blow the band up while keeping the
-// envelope thin) and every node ordering (none = generation order, RCM,
-// Hilbert), the harness measures blocked factorize+solve in both stiffness
-// layouts (banded and compressed skyline), serial versus N threads, and
-// records what the kAuto fill predictor would have picked. This closes the
-// paper's bandwidth claim (C6) from both ends: the renumbering pass keeps
-// the band tractable where it can, and the skyline layout keeps the solve
-// profile-bound where it cannot.
+// The `bench_solver` harness: an ordering x threads sweep of the FEM hot
+// path. For every bench mesh (IDLZ strips plus a plate-with-holes geometry
+// whose webs blow the band up while keeping the envelope thin) and every
+// node ordering (none = generation order, RCM), the harness measures
+// element assembly and blocked envelope factorize+solve, serial versus N
+// threads, and records the band and envelope byte counts. This closes the
+// paper's bandwidth claim (C6): the renumbering pass shrinks the envelope
+// the solver pays for.
 //
-// Like the pipeline harness, every measurement byte-compares the parallel
-// result against the serial one (`identical`), so the perf numbers double
-// as a determinism check. A cell whose factor would exceed the harness
-// byte or flop caps in its storage (a pathological ordering on a big
-// mesh blows up the band — or, on an anisotropic domain, the envelope
-// itself) is reported with `skipped` = true rather than silently dropped. The JSON rendering is a
-// feio.report/1 envelope of kind "bench" whose payload is schema-stable
-// ("feio.bench.solver/2", see docs/BENCHMARKS.md): fields may be added,
+// Every measurement byte-compares the parallel result against the serial
+// one (`identical`), so the perf numbers double as a determinism check;
+// the comparison runs outside the timed region. A cell whose factor would
+// exceed the harness byte or flop caps is reported with `skipped` = true
+// rather than silently dropped. The JSON rendering is a feio.report/1
+// envelope of kind "bench" whose payload is schema-stable
+// ("feio.bench.solver/3", see docs/BENCHMARKS.md): fields may be added,
 // never renamed or removed.
 #pragma once
 
@@ -27,26 +24,21 @@
 namespace feio::scenarios {
 
 struct SolverBenchCase {
-  std::string name;      // e.g. "factor_solve/plate_holes96/rcm/skyline"
+  std::string name;      // e.g. "factor_solve/plate_holes96/rcm"
   std::string stage;     // "assemble" | "factor_solve"
   std::string mesh;      // bench mesh tag
-  std::string ordering;  // "none" | "rcm" | "hilbert"
-  std::string storage;   // "banded" | "skyline"
-  // What SolverStorage::kAuto would select for this mesh + ordering (the
-  // fill predictor's verdict; identical for both storage rows of a cell).
-  std::string auto_storage;
+  std::string ordering;  // "none" | "rcm"
   int n = 0;               // equations (dofs)
   int half_bandwidth = 0;  // dof half-bandwidth under this ordering
   int node_bw = 0;         // nodal bandwidth under this ordering
-  std::int64_t band_bytes = 0;     // banded factor bytes: n * (hbw+1) * 8
-  std::int64_t skyline_bytes = 0;  // true envelope bytes (column heights)
+  std::int64_t band_bytes = 0;     // band of the half-bandwidth: n*(hbw+1)*8
+  std::int64_t skyline_bytes = 0;  // the factor's envelope bytes
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   double speedup = 0.0;    // serial_ms / parallel_ms
   bool identical = false;  // parallel output byte-identical to serial
-  // True when the cell was not run because its storage's factor exceeds
-  // the harness byte or flop cap; timings are 0 and `identical` is
-  // vacuously true.
+  // True when the cell was not run because its factor exceeds the harness
+  // byte or flop cap; timings are 0 and `identical` is vacuously true.
   bool skipped = false;
 };
 
@@ -56,12 +48,12 @@ struct SolverBenchReport {
   int repetitions = 1;
   bool quick = false;
   std::vector<SolverBenchCase> cases;
-  // Metrics body from one metered kAuto pass outside the timed loops
-  // (fem.solver.storage.*, fem.factorize.panels, ...); empty => {}.
+  // Metrics body from one metered solve outside the timed loops
+  // (fem.factorize.panels, fem.static_solves, ...); empty => {}.
   std::string metrics_json;
 
   bool all_identical() const;
-  // feio.report/1 envelope, kind "bench", payload "feio.bench.solver/2".
+  // feio.report/1 envelope, kind "bench", payload "feio.bench.solver/3".
   std::string render_json() const;
   std::string render_table() const;
 };

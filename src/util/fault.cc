@@ -49,9 +49,9 @@ const std::vector<std::string>& fault_sites() {
   static const std::vector<std::string> kSites = {
       "card.read",            // cards/card_io.cc   CardReader::next_card
       "deck.parse",           // idlz,ospl/deck.cc  per data set
-      "fem.alloc",            // fem/banded.cc      band storage allocation
+      "fem.alloc",            // fem/skyline.cc     envelope storage allocation
       "fem.assemble",         // fem/assembly.cc    stiffness assembly
-      "fem.factorize.panel",  // fem/banded.cc      per factorization panel
+      "fem.factorize.panel",  // fem/skyline.cc     per factorization panel
       "idlz.assemble",        // idlz/assembler.cc  node/element creation
       "idlz.punch",           // idlz/idlz.cc       punched-card output stage
       "idlz.shape",           // idlz/shaping.cc    per subdivision

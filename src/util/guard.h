@@ -6,7 +6,7 @@
 //   1. Pre-run admission (serve, CLI front ends): the admit_* helpers take
 //      cheaply measurable job properties (deck cards/bytes) and return the
 //      rejection Diag without throwing — the job is never started.
-//   2. In-run guards (assembler node numbering, FEM dof count, banded
+//   2. In-run guards (assembler node numbering, FEM dof count, envelope
 //      factor storage): a ScopedGuard installs the limits thread-locally
 //      (inherited across parallel chunks like the cancel token), and the
 //      guard_check_* helpers throw util::ResourceError at the first point
@@ -39,7 +39,7 @@ struct GuardLimits {
   std::int64_t max_deck_cards = 0;    // 0 = unlimited
   std::int64_t max_deck_bytes = 0;
   std::int64_t max_dofs = 0;          // nodes (IDLZ/OSPL) or dofs (FEM)
-  std::int64_t max_factor_bytes = 0;  // banded factor storage estimate
+  std::int64_t max_factor_bytes = 0;  // envelope factor storage estimate
 
   // The serve loop's defaults: roomy for real decks, tight enough that a
   // hostile job cannot allocate the machine away (docs/ROBUSTNESS.md).
@@ -94,7 +94,8 @@ std::optional<Diag> admit_deck(std::string_view what, std::int64_t cards,
 void guard_check_dofs(std::int64_t dofs, std::string_view what);
 void guard_check_factor_bytes(std::int64_t bytes, std::string_view what);
 
-// The byte size of an n x n banded factor with half-bandwidth `hbw`:
+// The byte size of an n-row band with half-bandwidth `hbw` (the band size
+// fem::predict_storage reports beside the envelope):
 // n * (hbw + 1) * sizeof(double), computed in checked std::int64_t
 // arithmetic. Saturates to INT64_MAX on overflow so a configured
 // max_factor_bytes limit always trips instead of wrapping — call-site

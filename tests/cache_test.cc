@@ -3,19 +3,21 @@
 // stiffness LRU (fem/factor_cache.h) with its bit-identity contract, and
 // the overflow-safe factor-byte estimate that guards huge bands
 // (util::checked_factor_bytes, E-RES-003).
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cards/format_cache.h"
 #include "fem/assembly.h"
-#include "fem/banded.h"
 #include "fem/factor_cache.h"
 #include "fem/material.h"
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "fem/stress.h"
 #include "feio/run_options.h"
@@ -177,14 +179,19 @@ TEST(CheckedFactorBytesTest, SaturatesInsteadOfWrapping) {
 }
 
 TEST(CheckedFactorBytesTest, GuardTripsOnBandPastInt32Bytes) {
-  // 300000 dofs at half-bandwidth 999 needs 300000 * 1000 * 8 = 2.4e9
-  // bytes — past 2^31, where a 32-bit byte estimate would have wrapped and
-  // sailed under the limit. The guard must trip (E-RES-003), not allocate.
+  // A band-shaped envelope of 300000 dofs at half-bandwidth 999 needs
+  // ~300000 * 1000 * 8 = 2.4e9 bytes — past 2^31, where a 32-bit byte
+  // estimate would have wrapped and sailed under the limit. The guard must
+  // trip (E-RES-003), not allocate.
   util::GuardLimits limits;
   limits.max_factor_bytes = std::int64_t{1} << 30;  // 1 GiB
   util::ScopedGuard guard(&limits);
+  std::vector<int> lows(300000);
+  for (int i = 0; i < 300000; ++i) {
+    lows[static_cast<std::size_t>(i)] = std::max(0, i - 999);
+  }
   try {
-    fem::BandedMatrix k(300000, 999);
+    fem::SkylineMatrix k(std::move(lows));
     FAIL() << "guard did not trip on a 2.4 GB band";
   } catch (const ResourceError& e) {
     EXPECT_EQ(e.code(), "E-RES-003");
@@ -405,14 +412,14 @@ TEST(FactorCacheTest, FailedSolveDoesNotPoisonCache) {
 // A minimal live entry: a factorized 1x1 identity. The TTL tests only
 // exercise slot lifetimes, not the solve contract.
 std::shared_ptr<const fem::FactorEntry> tiny_entry() {
-  fem::BandedMatrix k(1, 0);
+  fem::SkylineMatrix k({0});
   k.set(0, 0, 1.0);
   k.factorize();
   fem::FactorEntry e{std::move(k), {}, 0};
   return std::make_shared<const fem::FactorEntry>(std::move(e));
 }
 
-fem::FactorKey key_of(std::uint64_t tag) { return fem::FactorKey{tag, 0, 0, 0}; }
+fem::FactorKey key_of(std::uint64_t tag) { return fem::FactorKey{tag, 0, 0}; }
 
 TEST(FactorCacheTtlTest, IdleEntryExpiresAndIsCounted) {
   std::int64_t now = 0;

@@ -91,7 +91,7 @@ TEST(ChainTest, HatchDeckToIsoPlot) {
     }
   }
   ASSERT_GT(loaded, 30);
-  const fem::StaticSolution sol = fem::solve(prob);
+  const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
   const std::vector<double> eff =
       fem::nodal_field(prob, sol, fem::StressComponent::kEffective);
 

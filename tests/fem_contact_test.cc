@@ -151,7 +151,7 @@ TEST(ContactTest, MatchesBilateralWhenAllBear) {
 
   StaticProblem bilateral = prob;
   for (int i = 0; i <= nx; ++i) bilateral.fix(id(i, 0), false, true);
-  const StaticSolution plain = solve(bilateral);
+  const StaticSolution plain = solve(bilateral, RunOptions{});
   for (int n = 0; n < m.num_nodes(); ++n) {
     EXPECT_NEAR(contact.solution.at(n).x, plain.at(n).x, 1e-10);
     EXPECT_NEAR(contact.solution.at(n).y, plain.at(n).y, 1e-10);
@@ -179,7 +179,7 @@ TEST(ThermalStressTest, FreeExpansionIsStressFree) {
   prob.set_temperature_load(
       std::vector<double>(static_cast<size_t>(m.num_nodes()), 70.0 + dt),
       alpha, 70.0);
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   // Uniform expansion: u_x = alpha*dT*x; stress ~ 0.
   EXPECT_NEAR(sol.at(id(nx, 0)).x, alpha * dt * 4.0, 1e-9);
   for (const Stress& s : element_stresses(prob, sol)) {
@@ -206,7 +206,7 @@ TEST(ThermalStressTest, ConstrainedBarCompresses) {
   prob.set_temperature_load(
       std::vector<double>(static_cast<size_t>(m.num_nodes()), dt), alpha,
       0.0);
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   for (const Stress& s : element_stresses(prob, sol)) {
     EXPECT_NEAR(s.s11, -e_mod * alpha * dt, 1e-6 * e_mod * alpha * dt);
   }
@@ -227,7 +227,7 @@ TEST(ThermalStressTest, GradientBendsFreeBeam) {
     temps[static_cast<size_t>(id(i, 1))] = 100.0;  // top hot
   }
   prob.set_temperature_load(temps, 1e-5, 0.0);
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   // Mid-span rises.
   EXPECT_GT(sol.at(id(nx / 2, 0)).y, 1e-5);
   // Ends rotate outward at the top.
@@ -262,7 +262,7 @@ TEST(ThermalStressTest, AxisymmetricFreeRingExpansion) {
   prob.set_temperature_load(
       std::vector<double>(static_cast<size_t>(m.num_nodes()), dt), alpha,
       0.0);
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   for (int i = 0; i <= nr; ++i) {
     const double r = m.pos(id(i, 1)).x;
     EXPECT_NEAR(sol.at(id(i, 1)).x, alpha * dt * r, 1e-4 * alpha * dt * r);

@@ -47,7 +47,7 @@ double lame_bore_error(int nr) {
   for (int j = 0; j < 2; ++j) {
     prob.edge_pressure(id(0, j + 1), id(0, j), p);
   }
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
 
   const double a = p * ri * ri / (ro * ro - ri * ri);
   const double b = a * ro * ro;
@@ -106,7 +106,7 @@ double beam_tip_error(int nx) {
   for (int j = 0; j <= ny; ++j) {
     prob.point_load(id(nx, j), {0.0, -load / (ny + 1)});
   }
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   const double inertia = h * h * h / 12.0;
   const double bending = load * length * length * length / (3.0 * e_mod * inertia);
   // Timoshenko shear term with k = 5/6.

@@ -1,27 +1,27 @@
-// Compressed-skyline LDL^T (fem/skyline.h): envelope storage semantics,
-// dense-reference correctness of the blocked factorization across matrix
-// shapes in BOTH storage layouts, bit-identity across thread counts, the
-// kAuto fill predictor, and the factor cache's storage/ordering keying
-// (banded and skyline factors of one operator never alias).
+// Envelope LDL^T (fem/skyline.h), the one stiffness layout: storage
+// semantics, dense-reference correctness of the blocked factorization on
+// band-shaped and ragged envelopes, random-SPD residual sweeps, bit-identity
+// across thread counts (small matrices and the benchmark-scale strip and
+// plate), the storage size report, and the factor cache's ordering keying.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <random>
-#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fem/assembly.h"
-#include "fem/banded.h"
 #include "fem/factor_cache.h"
 #include "fem/material.h"
 #include "fem/skyline.h"
 #include "fem/solver.h"
 #include "feio/run_options.h"
+#include "idlz/idlz.h"
 #include "mesh/tri_mesh.h"
+#include "scenarios/pipeline_bench.h"
 #include "util/error.h"
 #include "util/parallel.h"
 
@@ -35,8 +35,12 @@ std::vector<int> band_lows(int n, int hbw) {
 }
 
 // ---- storage semantics ----------------------------------------------------
+//
+// BandedMatrixTest covers the band special case of the envelope (row i
+// starts at column i - hbw); SkylineMatrixTest covers ragged envelopes,
+// whose rows start independently and leave holes beside a tall row.
 
-TEST(SkylineMatrixTest, SymmetricAccess) {
+TEST(BandedMatrixTest, SymmetricAccess) {
   SkylineMatrix m(band_lows(4, 2));
   m.set(1, 3, 5.0);
   EXPECT_DOUBLE_EQ(m.get(1, 3), 5.0);
@@ -45,9 +49,115 @@ TEST(SkylineMatrixTest, SymmetricAccess) {
   EXPECT_DOUBLE_EQ(m.get(1, 3), 6.0);
 }
 
-TEST(SkylineMatrixTest, OutOfEnvelopeReadsZero) {
+TEST(BandedMatrixTest, OutOfBandReadsZero) {
   SkylineMatrix m(band_lows(5, 1));
   EXPECT_DOUBLE_EQ(m.get(0, 4), 0.0);
+  EXPECT_DOUBLE_EQ(m.get(4, 2), 0.0);
+}
+
+TEST(BandedMatrixTest, StorageScalesWithBandwidth) {
+  // A band stores n(hbw+1) - hbw(hbw+1)/2 entries: the full band less the
+  // triangle that would hang above row 0.
+  EXPECT_EQ(SkylineMatrix(band_lows(10, 2)).storage(), 27u);
+  EXPECT_EQ(SkylineMatrix(band_lows(10, 5)).storage(), 45u);
+  EXPECT_EQ(SkylineMatrix(band_lows(10, 5)).max_column_height(), 6);
+}
+
+TEST(BandedMatrixTest, SolvesDiagonalSystem) {
+  SkylineMatrix m(band_lows(3, 0));
+  m.set(0, 0, 2.0);
+  m.set(1, 1, 4.0);
+  m.set(2, 2, 8.0);
+  m.factorize();
+  std::vector<double> rhs{2.0, 8.0, 4.0};
+  m.solve(rhs);
+  EXPECT_DOUBLE_EQ(rhs[0], 1.0);
+  EXPECT_DOUBLE_EQ(rhs[1], 2.0);
+  EXPECT_DOUBLE_EQ(rhs[2], 0.5);
+}
+
+TEST(BandedMatrixTest, SolvesTridiagonalSystem) {
+  // Classic [-1 2 -1] Poisson matrix; verify A x = e_mid by residual.
+  const int n = 5;
+  SkylineMatrix a(band_lows(n, 1));
+  for (int i = 0; i < n; ++i) {
+    a.set(i, i, 2.0);
+    if (i + 1 < n) a.set(i, i + 1, -1.0);
+  }
+  SkylineMatrix f = a;
+  f.factorize();
+  std::vector<double> x(n, 0.0);
+  x[2] = 1.0;
+  f.solve(x);
+  for (int i = 0; i < n; ++i) {
+    double r = 0.0;
+    for (int j = 0; j < n; ++j) r += a.get(i, j) * x[static_cast<size_t>(j)];
+    EXPECT_NEAR(r, i == 2 ? 1.0 : 0.0, 1e-12);
+  }
+}
+
+TEST(BandedMatrixTest, DirichletPreservesSolution) {
+  SkylineMatrix m(band_lows(3, 1));
+  m.set(0, 0, 2.0);
+  m.set(1, 1, 2.0);
+  m.set(2, 2, 2.0);
+  m.set(0, 1, -1.0);
+  m.set(1, 2, -1.0);
+  std::vector<double> rhs{0.0, 0.0, 0.0};
+  m.apply_dirichlet(0, 3.0, rhs);
+  m.factorize();
+  m.solve(rhs);
+  EXPECT_NEAR(rhs[0], 3.0, 1e-12);
+  // Remaining equations: 2x1 - x2 = 3, -x1 + 2x2 = 0 -> x1 = 2, x2 = 1.
+  EXPECT_NEAR(rhs[1], 2.0, 1e-12);
+  EXPECT_NEAR(rhs[2], 1.0, 1e-12);
+}
+
+TEST(BandedMatrixTest, SingularThrows) {
+  SkylineMatrix m(band_lows(2, 1));
+  m.set(0, 0, 1.0);
+  m.set(0, 1, 1.0);
+  m.set(1, 1, 1.0);  // rank 1
+  EXPECT_THROW(m.factorize(), Error);
+}
+
+TEST(BandedMatrixTest, IndefiniteThrows) {
+  SkylineMatrix m(band_lows(2, 0));
+  m.set(0, 0, -1.0);
+  m.set(1, 1, 1.0);
+  EXPECT_THROW(m.factorize(), Error);
+}
+
+TEST(SkylineMatrixTest, SymmetricAccess) {
+  // Row 2 reaches back to column 0 past row 1, which stores only its
+  // diagonal.
+  SkylineMatrix m({0, 1, 0, 2});
+  m.set(2, 0, 5.0);
+  EXPECT_DOUBLE_EQ(m.get(2, 0), 5.0);
+  EXPECT_DOUBLE_EQ(m.get(0, 2), 5.0);
+  m.add(0, 2, 1.0);
+  EXPECT_DOUBLE_EQ(m.get(2, 0), 6.0);
+}
+
+TEST(SkylineMatrixTest, OutOfEnvelopeReadsZero) {
+  // Row 2 is tall between the short rows 1 and 3, so (1,0) and (3,0..1)
+  // are holes. Every stored entry reads back from either triangle; every
+  // other entry reads 0.
+  const std::vector<int> lows{0, 1, 0, 2, 1};
+  SkylineMatrix m(lows);
+  for (int i = 0; i < 5; ++i) {
+    for (int j = lows[static_cast<size_t>(i)]; j <= i; ++j) {
+      m.set(i, j, 1.0 + 10.0 * i + j);
+    }
+  }
+  for (int i = 0; i < 5; ++i) {
+    for (int j = 0; j < i; ++j) {
+      const double want =
+          j >= lows[static_cast<size_t>(i)] ? 1.0 + 10.0 * i + j : 0.0;
+      EXPECT_DOUBLE_EQ(m.get(i, j), want) << "(" << i << "," << j << ")";
+      EXPECT_DOUBLE_EQ(m.get(j, i), want) << "(" << j << "," << i << ")";
+    }
+  }
 }
 
 TEST(SkylineMatrixTest, StorageIsColumnHeightSum) {
@@ -67,7 +177,9 @@ TEST(SkylineMatrixTest, InvalidColumnLowsThrow) {
 }
 
 TEST(SkylineMatrixTest, SolvesDiagonalSystem) {
-  SkylineMatrix m(band_lows(3, 0));
+  // Row 2's envelope stores explicit zeros back to column 0; they must not
+  // perturb the solve.
+  SkylineMatrix m({0, 1, 0});
   m.set(0, 0, 2.0);
   m.set(1, 1, 4.0);
   m.set(2, 2, 8.0);
@@ -80,48 +192,54 @@ TEST(SkylineMatrixTest, SolvesDiagonalSystem) {
 }
 
 TEST(SkylineMatrixTest, DirichletPreservesSolution) {
-  // Same 3-dof chain as the banded test: identical constraint semantics.
-  SkylineMatrix m(band_lows(3, 1));
-  m.set(0, 0, 2.0);
-  m.set(1, 1, 2.0);
-  m.set(2, 2, 2.0);
+  // Chain 0-1-2 plus a long coupling 3-0: row 3 reaches back to column 0
+  // past row 2, which starts at column 1.
+  SkylineMatrix m({0, 0, 1, 0});
+  for (int i = 0; i < 4; ++i) m.set(i, i, 2.0);
   m.set(0, 1, -1.0);
   m.set(1, 2, -1.0);
-  std::vector<double> rhs{0.0, 0.0, 0.0};
+  m.set(0, 3, -1.0);
+  std::vector<double> rhs{0.0, 0.0, 0.0, 0.0};
   m.apply_dirichlet(0, 3.0, rhs);
   m.factorize();
   m.solve(rhs);
   EXPECT_NEAR(rhs[0], 3.0, 1e-12);
+  // Remaining equations: 2x1 - x2 = 3, -x1 + 2x2 = 0, 2x3 = 3.
   EXPECT_NEAR(rhs[1], 2.0, 1e-12);
   EXPECT_NEAR(rhs[2], 1.0, 1e-12);
+  EXPECT_NEAR(rhs[3], 1.5, 1e-12);
 }
 
 TEST(SkylineMatrixTest, SingularThrows) {
-  SkylineMatrix m(band_lows(2, 1));
+  // Rows 0 and 2 are equal across the short row 1: rank 2 of 3.
+  SkylineMatrix m({0, 1, 0});
   m.set(0, 0, 1.0);
-  m.set(0, 1, 1.0);
-  m.set(1, 1, 1.0);  // rank 1
+  m.set(1, 1, 1.0);
+  m.set(2, 0, 1.0);
+  m.set(2, 2, 1.0);
   EXPECT_THROW(m.factorize(), Error);
 }
 
 TEST(SkylineMatrixTest, IndefiniteThrows) {
-  SkylineMatrix m(band_lows(2, 0));
-  m.set(0, 0, -1.0);
+  // Every diagonal is positive; the long coupling 2-0 drives the last
+  // pivot to 1 - 2 * 2 / 1 = -3.
+  SkylineMatrix m({0, 1, 0});
+  m.set(0, 0, 1.0);
   m.set(1, 1, 1.0);
+  m.set(2, 0, 2.0);
+  m.set(2, 2, 1.0);
   EXPECT_THROW(m.factorize(), Error);
 }
 
 // ---- dense-reference correctness ------------------------------------------
 
 // Dense LDL^T, no blocking, no packed storage — the independent reference
-// both envelope codes are checked against. Works off any matrix type with
-// size()/get().
+// the blocked envelope code is checked against.
 struct DenseLdlt {
   int n;
   std::vector<std::vector<double>> l;  // unit lower, D on the diagonal
 
-  template <typename Matrix>
-  explicit DenseLdlt(const Matrix& a) : n(a.size()) {
+  explicit DenseLdlt(const SkylineMatrix& a) : n(a.size()) {
     std::vector<std::vector<double>> m(
         static_cast<size_t>(n), std::vector<double>(static_cast<size_t>(n)));
     for (int i = 0; i < n; ++i) {
@@ -178,74 +296,151 @@ SkylineMatrix random_spd_skyline(std::vector<int> lows, int max_h,
   return a;
 }
 
-// Both storage layouts of the same band-shaped random SPD matrix agree
-// with the dense reference, across shapes spanning the skyline serial path
-// (max height < 16), the blocked path, panel remainders, the B-capped
-// region, and a nearly dense matrix — the same 7 shapes the banded suite
-// sweeps.
+// Random SPD band-shaped envelope: every row starts at i - hbw.
+SkylineMatrix random_spd_band(int n, int hbw, unsigned seed) {
+  return random_spd_skyline(band_lows(n, hbw), hbw, seed);
+}
+
+// Property: random SPD systems on band-shaped envelopes solve to machine
+// precision, for several half-bandwidths (serial and blocked paths).
+class BandedSolveSweep : public ::testing::TestWithParam<int> {};
+
+TEST_P(BandedSolveSweep, RandomSpdResidualSmall) {
+  const int hbw = GetParam();
+  const int n = 40;
+  const unsigned seed = static_cast<unsigned>(hbw) * 7919u + 3u;
+  const SkylineMatrix a = random_spd_band(n, hbw, seed);
+  SkylineMatrix f = a;
+  f.factorize();
+
+  std::mt19937 rng(seed);
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> x_true(static_cast<size_t>(n));
+  for (double& v : x_true) v = dist(rng);
+  std::vector<double> rhs;
+  a.multiply(x_true, rhs);
+  f.solve(rhs);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(rhs[static_cast<size_t>(i)], x_true[static_cast<size_t>(i)],
+                1e-10);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Bandwidths, BandedSolveSweep,
+                         ::testing::Values(0, 1, 2, 3, 5, 8, 13, 39));
+
+// The blocked factorization of band-shaped envelopes agrees with the dense
+// reference across shapes spanning the serial path (max height < 16), the
+// blocked path, multiple panels, a panel remainder, the capped panel width,
+// and a nearly dense matrix.
+class BlockedVsDense
+    : public ::testing::TestWithParam<std::pair<int, int>> {};
+
+TEST_P(BlockedVsDense, FactorsAndSolutionsMatchDenseReference) {
+  const auto [n, hbw] = GetParam();
+  const SkylineMatrix a =
+      random_spd_band(n, hbw, static_cast<unsigned>(n * 131 + hbw));
+  const DenseLdlt ref(a);
+
+  SkylineMatrix f = a;
+  f.factorize();
+  const double tol = 1e-9 * (2.0 * hbw + 4.0);
+  for (int i = 0; i < n; ++i) {
+    for (int j = std::max(0, i - hbw); j <= i; ++j) {
+      EXPECT_NEAR(f.get(i, j), ref.l[i][j], tol)
+          << "L/D entry (" << i << "," << j << ") n=" << n << " hbw=" << hbw;
+    }
+  }
+
+  std::mt19937 rng(static_cast<unsigned>(n + hbw));
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
+  std::vector<double> b(static_cast<size_t>(n));
+  for (double& v : b) v = dist(rng);
+  std::vector<double> x = b;
+  f.solve(x);
+  const std::vector<double> x_ref = ref.solve(b);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_NEAR(x[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)],
+                1e-10)
+        << "solution entry " << i << " n=" << n << " hbw=" << hbw;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BlockedVsDense,
+    ::testing::Values(std::pair{40, 8},     // serial path
+                      std::pair{40, 16},    // smallest blocked height
+                      std::pair{97, 24},    // panel remainder
+                      std::pair{128, 32},   // multiple panels
+                      std::pair{257, 64},   // panel width capped
+                      std::pair{300, 150},  // wide band, few panels
+                      std::pair{64, 63}));  // nearly dense
+
+// The same band matrix stored in its tight envelope and in the full lower
+// triangle (explicit zeros above the band): both layouts factor to the
+// dense reference — stored zeros inside an envelope never change a factor
+// beyond rounding, whatever panel partition the envelope implies.
 class BandSkylineVsDense
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(BandSkylineVsDense, BothLayoutsMatchDenseReference) {
   const auto [n, hbw] = GetParam();
-  const unsigned seed = static_cast<unsigned>(n * 131 + hbw);
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-
-  BandedMatrix band(n, hbw);
-  SkylineMatrix sky(band_lows(n, hbw));
+  const SkylineMatrix band =
+      random_spd_band(n, hbw, static_cast<unsigned>(n * 131 + hbw));
+  SkylineMatrix full(std::vector<int>(static_cast<size_t>(n), 0));
   for (int i = 0; i < n; ++i) {
-    for (int j = std::max(0, i - hbw); j < i; ++j) {
-      const double v = dist(rng);
-      band.set(i, j, v);
-      sky.set(i, j, v);
+    for (int j = std::max(0, i - hbw); j <= i; ++j) {
+      full.set(i, j, band.get(i, j));
     }
-    band.set(i, i, 2.0 * hbw + 4.0);
-    sky.set(i, i, 2.0 * hbw + 4.0);
   }
   const DenseLdlt ref(band);
 
-  band.factorize();
-  sky.factorize();
+  SkylineMatrix fb = band;
+  SkylineMatrix ff = full;
+  fb.factorize();
+  ff.factorize();
   const double tol = 1e-9 * (2.0 * hbw + 4.0);
   for (int i = 0; i < n; ++i) {
-    for (int j = std::max(0, i - hbw); j <= i; ++j) {
-      EXPECT_NEAR(band.get(i, j), ref.l[i][j], tol)
-          << "banded L/D entry (" << i << "," << j << ")";
-      EXPECT_NEAR(sky.get(i, j), ref.l[i][j], tol)
-          << "skyline L/D entry (" << i << "," << j << ")";
+    for (int j = 0; j <= i; ++j) {
+      EXPECT_NEAR(ff.get(i, j), ref.l[i][j], tol)
+          << "full-triangle L/D entry (" << i << "," << j << ")";
+      if (j >= i - hbw) {
+        EXPECT_NEAR(fb.get(i, j), ref.l[i][j], tol)
+            << "band L/D entry (" << i << "," << j << ")";
+      }
     }
   }
 
+  std::mt19937 rng(static_cast<unsigned>(n * 7 + hbw));
+  std::uniform_real_distribution<double> dist(-1.0, 1.0);
   std::vector<double> b(static_cast<size_t>(n));
   for (double& v : b) v = dist(rng);
   std::vector<double> x_band = b;
-  std::vector<double> x_sky = b;
-  band.solve(x_band);
-  sky.solve(x_sky);
+  std::vector<double> x_full = b;
+  fb.solve(x_band);
+  ff.solve(x_full);
   const std::vector<double> x_ref = ref.solve(b);
   for (int i = 0; i < n; ++i) {
     EXPECT_NEAR(x_band[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)],
                 1e-10)
-        << "banded solution entry " << i;
-    EXPECT_NEAR(x_sky[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)],
+        << "band solution entry " << i;
+    EXPECT_NEAR(x_full[static_cast<size_t>(i)], x_ref[static_cast<size_t>(i)],
                 1e-10)
-        << "skyline solution entry " << i;
+        << "full-triangle solution entry " << i;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Shapes, BandSkylineVsDense,
-    ::testing::Values(std::pair{40, 8},     // skyline serial path
+    ::testing::Values(std::pair{40, 8},     // band on the serial path
                       std::pair{40, 16},    // smallest blocked height
                       std::pair{97, 24},    // panel remainder
                       std::pair{128, 32},   // multiple panels
-                      std::pair{257, 64},   // B capped region
+                      std::pair{257, 64},   // panel width capped
                       std::pair{300, 150},  // wide band, few panels
                       std::pair{64, 63}));  // nearly dense
 
-// Ragged (truly skyline-shaped) envelopes against the dense reference —
-// the structure the banded code cannot even represent.
+// Ragged (truly skyline-shaped) envelopes against the dense reference.
 class RaggedVsDense : public ::testing::TestWithParam<std::pair<int, int>> {};
 
 TEST_P(RaggedVsDense, FactorsAndSolutionsMatchDenseReference) {
@@ -305,9 +500,9 @@ TEST(SkylineMatrixTest, AdoptFactorReplaysBitIdentically) {
 
 // ---- determinism ----------------------------------------------------------
 
-// Serial and 8-thread skyline factorizations/solves are byte-identical:
-// the chunk partition may differ with the thread count, but no entry's
-// summation is ever resplit (same contract as the banded kernels).
+// Serial and 8-thread factorizations/solves are byte-identical: the chunk
+// partition may differ with the thread count, but no entry's summation is
+// ever resplit.
 TEST(SkylineDeterminismTest, EightThreadsBitIdenticalToSerial) {
   for (const auto& [n, max_h] : {std::pair{193, 40}, std::pair{128, 48},
                                  std::pair{60, 12}}) {
@@ -349,10 +544,176 @@ TEST(SkylineDeterminismTest, EightThreadsBitIdenticalToSerial) {
   }
 }
 
-// ---- the fill predictor and the solve paths -------------------------------
+// The same contract on band-shaped envelopes.
+TEST(BandedDeterminismTest, EightThreadsBitIdenticalToSerial) {
+  for (const auto& [n, hbw] : {std::pair{193, 24}, std::pair{128, 48}}) {
+    const SkylineMatrix a =
+        random_spd_band(n, hbw, static_cast<unsigned>(n * 31 + hbw));
+    std::vector<double> b(static_cast<size_t>(n));
+    std::mt19937 rng(static_cast<unsigned>(hbw));
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    for (double& v : b) v = dist(rng);
 
-// A long uniform strip: every column is as tall as the band, so banded
-// storage wins (skyline saves nothing and the predictor must not flap).
+    SkylineMatrix f1 = a;
+    std::vector<double> x1 = b;
+    {
+      util::ScopedThreads serial(1);
+      f1.factorize();
+      f1.solve(x1);
+    }
+    SkylineMatrix f8 = a;
+    std::vector<double> x8 = b;
+    {
+      util::ScopedThreads eight(8);
+      f8.factorize();
+      f8.solve(x8);
+    }
+    for (size_t s = 0; s < f1.values().size(); ++s) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(f1.values()[s]),
+                std::bit_cast<std::uint64_t>(f8.values()[s]))
+          << "factor slot " << s << " n=" << n << " hbw=" << hbw;
+    }
+    for (int i = 0; i < n; ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x1[static_cast<size_t>(i)]),
+                std::bit_cast<std::uint64_t>(x8[static_cast<size_t>(i)]))
+          << "solution entry " << i << " n=" << n << " hbw=" << hbw;
+    }
+  }
+}
+
+// ---- benchmark scale --------------------------------------------------------
+
+// serve's canonical cantilever: plane stress, E = 1000, nu = 0.3, the
+// minimum-x node column clamped, a unit downward load at the maximum-x node
+// (lowest index on ties).
+StaticProblem canonical_cantilever(const mesh::TriMesh& m) {
+  StaticProblem p(m, Analysis::kPlaneStress);
+  p.set_material(Material::isotropic(1000.0, 0.3));
+  double min_x = m.pos(0).x;
+  double max_x = m.pos(0).x;
+  int tip = 0;
+  for (int n = 0; n < m.num_nodes(); ++n) {
+    min_x = std::min(min_x, m.pos(n).x);
+    if (m.pos(n).x > max_x) {
+      max_x = m.pos(n).x;
+      tip = n;
+    }
+  }
+  for (int n = 0; n < m.num_nodes(); ++n) {
+    if (m.pos(n).x == min_x) p.fix(n, true, true);
+  }
+  p.point_load(tip, {0.0, -1.0});
+  return p;
+}
+
+// A 104 x 104-cell plate with a 3 x 3 grid of 24 x 24-cell holes and
+// 8-cell ligaments, as rectangular unit-cell subdivisions.
+idlz::IdlzCase plate_with_holes_case() {
+  constexpr int kLig = 8;
+  constexpr int kHole = 24;
+  constexpr int kWidth = 3 * kHole + 4 * kLig;
+  idlz::IdlzCase c;
+  c.title = "PLATE WITH HOLES";
+  c.options.limits = idlz::Limits::unlimited();
+  auto edge = [](int k1, int k2, int l) {
+    idlz::ShapeLine line;
+    line.k1 = k1;
+    line.k2 = k2;
+    line.l1 = l;
+    line.l2 = l;
+    line.p1 = {static_cast<double>(k1 - 1), static_cast<double>(l - 1)};
+    line.p2 = {static_cast<double>(k2 - 1), static_cast<double>(l - 1)};
+    return line;
+  };
+  auto add = [&](int x0, int x1, int y0, int y1) {
+    idlz::Subdivision sub;
+    sub.id = static_cast<int>(c.subdivisions.size()) + 1;
+    sub.k1 = x0 + 1;
+    sub.k2 = x1 + 1;
+    sub.l1 = y0 + 1;
+    sub.l2 = y1 + 1;
+    c.subdivisions.push_back(sub);
+    idlz::ShapingSpec spec;
+    spec.subdivision_id = sub.id;
+    spec.lines = {edge(sub.k1, sub.k2, sub.l1), edge(sub.k1, sub.k2, sub.l2)};
+    c.shaping.push_back(spec);
+  };
+  for (int row = 0; row <= 3; ++row) {
+    const int y0 = row * (kLig + kHole);
+    add(0, kWidth, y0, y0 + kLig);
+    if (row == 3) break;
+    for (int col = 0; col <= 3; ++col) {
+      const int x0 = col * (kLig + kHole);
+      add(x0, x0 + kLig, y0 + kLig, y0 + kLig + kHole);
+    }
+  }
+  return c;
+}
+
+// Solves the canonical cantilever on an RCM-ordered idealization at 1 and
+// 4 threads: the factors and solutions are bit-identical, and the relative
+// residual ||K u - f|| / ||f|| against an unfactorized copy of K is tiny.
+void expect_scale_solve(const idlz::IdlzCase& c) {
+  RunOptions ro;
+  ro.ordering = OrderingChoice::kRcm;
+  const idlz::IdlzResult r = idlz::run(c, ro);
+  const StaticProblem p = canonical_cantilever(r.mesh);
+  SkylineMatrix k(p.dof_skyline_lows());
+  std::vector<double> f;
+  p.assemble(k, f);
+
+  SkylineMatrix f1 = k;
+  std::vector<double> u1 = f;
+  {
+    util::ScopedThreads one(1);
+    f1.factorize();
+    f1.solve(u1);
+  }
+  SkylineMatrix f4 = k;
+  std::vector<double> u4 = f;
+  {
+    util::ScopedThreads four(4);
+    f4.factorize();
+    f4.solve(u4);
+  }
+  ASSERT_EQ(f1.values().size(), f4.values().size());
+  size_t factor_diffs = 0;
+  for (size_t s = 0; s < f1.values().size(); ++s) {
+    factor_diffs += std::bit_cast<std::uint64_t>(f1.values()[s]) !=
+                    std::bit_cast<std::uint64_t>(f4.values()[s]);
+  }
+  EXPECT_EQ(factor_diffs, 0u);
+  size_t solution_diffs = 0;
+  for (size_t i = 0; i < u1.size(); ++i) {
+    solution_diffs += std::bit_cast<std::uint64_t>(u1[i]) !=
+                      std::bit_cast<std::uint64_t>(u4[i]);
+  }
+  EXPECT_EQ(solution_diffs, 0u);
+
+  std::vector<double> ku;
+  k.multiply(u1, ku);
+  double num = 0.0;
+  double den = 0.0;
+  for (size_t i = 0; i < f.size(); ++i) {
+    num += (ku[i] - f[i]) * (ku[i] - f[i]);
+    den += f[i] * f[i];
+  }
+  EXPECT_LT(std::sqrt(num / den), 1e-10) << "n=" << p.num_dofs();
+}
+
+TEST(SkylineScaleTest, StripCantileverResidualAndThreadIdentity) {
+  // 60 x 150 cells: 18,422 dofs, a nearly full envelope.
+  expect_scale_solve(scenarios::strip_case(60, 150, 10));
+}
+
+TEST(SkylineScaleTest, PlateWithHolesResidualAndThreadIdentity) {
+  // 12,528 dofs; the holes leave the envelope about half the band.
+  expect_scale_solve(plate_with_holes_case());
+}
+
+// ---- the size report and the solve path -------------------------------------
+
+// A long uniform strip: every column is as tall as the band.
 mesh::TriMesh strip_mesh(int nx) {
   mesh::TriMesh m;
   for (int i = 0; i <= nx; ++i) {
@@ -413,12 +774,13 @@ fem::StaticProblem cantilever(const mesh::TriMesh& m) {
   return p;
 }
 
-TEST(PredictStorageTest, UniformStripKeepsBanded) {
+TEST(PredictStorageTest, UniformStripEnvelopeNearlyFillsBand) {
   const mesh::TriMesh m = strip_mesh(40);
   const StoragePrediction pred = predict_storage(cantilever(m));
-  EXPECT_FALSE(pred.use_skyline);
+  EXPECT_TRUE(pred.use_skyline);
   EXPECT_GT(pred.band_bytes, 0);
-  EXPECT_GT(pred.skyline_bytes, 0);
+  EXPECT_GT(pred.skyline_bytes, pred.band_bytes - pred.band_bytes / 4);
+  EXPECT_LE(pred.skyline_bytes, pred.band_bytes);
 }
 
 TEST(PredictStorageTest, WideBaseNarrowWebPicksSkyline) {
@@ -428,44 +790,10 @@ TEST(PredictStorageTest, WideBaseNarrowWebPicksSkyline) {
   EXPECT_LT(pred.skyline_bytes, pred.band_bytes - pred.band_bytes / 4);
 }
 
-TEST(SolverStorageTest, SkylineSolveMatchesBandedNumerically) {
-  const mesh::TriMesh m = tower_mesh(24, 30);
-  const fem::StaticProblem p = cantilever(m);
-  RunOptions banded;
-  banded.solver_storage = SolverStorage::kBanded;
-  RunOptions skyline;
-  skyline.solver_storage = SolverStorage::kSkyline;
-  const StaticSolution ub = solve(p, banded);
-  const StaticSolution us = solve(p, skyline);
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    const double tol_x = 1e-9 * (1.0 + std::abs(ub.at(n).x));
-    const double tol_y = 1e-9 * (1.0 + std::abs(ub.at(n).y));
-    EXPECT_NEAR(ub.at(n).x, us.at(n).x, tol_x) << "node " << n;
-    EXPECT_NEAR(ub.at(n).y, us.at(n).y, tol_y) << "node " << n;
-  }
-}
-
-TEST(SolverStorageTest, AutoMatchesForcedSkylineBitwise) {
-  const mesh::TriMesh m = tower_mesh(40, 60);
-  const fem::StaticProblem p = cantilever(m);
-  RunOptions auto_opts;  // kAuto; the tower predicts skyline
-  RunOptions forced;
-  forced.solver_storage = SolverStorage::kSkyline;
-  const StaticSolution ua = solve(p, auto_opts);
-  const StaticSolution uf = solve(p, forced);
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ua.at(n).x),
-              std::bit_cast<std::uint64_t>(uf.at(n).x));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(ua.at(n).y),
-              std::bit_cast<std::uint64_t>(uf.at(n).y));
-  }
-}
-
-TEST(SolverStorageTest, ForcedSkylineBitIdenticalAcrossThreadCounts) {
+TEST(StaticSolveTest, BitIdenticalAcrossThreadCounts) {
   const mesh::TriMesh m = tower_mesh(40, 60);
   const fem::StaticProblem p = cantilever(m);
   RunOptions one;
-  one.solver_storage = SolverStorage::kSkyline;
   one.threads = 1;
   RunOptions eight = one;
   eight.threads = 8;
@@ -481,59 +809,42 @@ TEST(SolverStorageTest, ForcedSkylineBitIdenticalAcrossThreadCounts) {
 
 // ---- factor-cache keying --------------------------------------------------
 
-TEST(FactorCacheStorageTest, StorageKindsNeverAlias) {
-  const mesh::TriMesh m = tower_mesh(24, 30);
-  const fem::StaticProblem p = cantilever(m);
+// One deck idealized under two orderings yields two meshes, so two factor
+// keys; idealizing it again under the same ordering hits the cache and
+// replays that ordering's factor bit-identically.
+TEST(FactorCacheOrderingTest, OrderingsKeySeparatelyAndRepeatsHit) {
+  const idlz::IdlzCase c = scenarios::strip_case(8, 24, 3);
+  RunOptions none;
+  none.ordering = OrderingChoice::kNone;
+  RunOptions rcm;
+  rcm.ordering = OrderingChoice::kRcm;
+  const idlz::IdlzResult r_none = idlz::run(c, none);
+  const idlz::IdlzResult r_rcm = idlz::run(c, rcm);
+  ASSERT_TRUE(r_rcm.renumbering.applied);
+  const StaticProblem p_none = canonical_cantilever(r_none.mesh);
+  const StaticProblem p_rcm = canonical_cantilever(r_rcm.mesh);
+  EXPECT_FALSE(factor_key(p_none) == factor_key(p_rcm));
+
   FactorCache cache(8);
+  RunOptions cached;
+  cached.factor_cache = &cache;
+  const StaticSolution cold_none = solve(p_none, cached);
+  const StaticSolution cold_rcm = solve(p_rcm, cached);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().entries, 2);
 
-  RunOptions banded;
-  banded.solver_storage = SolverStorage::kBanded;
-  banded.factor_cache = &cache;
-  RunOptions skyline = banded;
-  skyline.solver_storage = SolverStorage::kSkyline;
-
-  const StaticSolution cold_b = solve(p, banded);   // miss, banded entry
-  const StaticSolution cold_s = solve(p, skyline);  // miss, skyline entry
-  {
-    const FactorCacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, 2);
-    EXPECT_EQ(s.hits, 0);
-    EXPECT_EQ(s.entries, 2);
+  const idlz::IdlzResult r_again = idlz::run(c, rcm);
+  const StaticProblem p_again = canonical_cantilever(r_again.mesh);
+  const StaticSolution warm_rcm = solve(p_again, cached);
+  EXPECT_EQ(cache.stats().hits, 1);
+  EXPECT_EQ(cache.stats().misses, 2);
+  for (int n = 0; n < r_rcm.mesh.num_nodes(); ++n) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_rcm.at(n).x),
+              std::bit_cast<std::uint64_t>(warm_rcm.at(n).x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_rcm.at(n).y),
+              std::bit_cast<std::uint64_t>(warm_rcm.at(n).y));
   }
-
-  const StaticSolution warm_b = solve(p, banded);   // hits the banded slot
-  const StaticSolution warm_s = solve(p, skyline);  // hits the skyline slot
-  {
-    const FactorCacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, 2);
-    EXPECT_EQ(s.hits, 2);
-    EXPECT_EQ(s.entries, 2);
-  }
-
-  // Each warm solve replays its own layout's factor bit-identically.
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_b.at(n).x),
-              std::bit_cast<std::uint64_t>(warm_b.at(n).x));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_b.at(n).y),
-              std::bit_cast<std::uint64_t>(warm_b.at(n).y));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_s.at(n).x),
-              std::bit_cast<std::uint64_t>(warm_s.at(n).x));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(cold_s.at(n).y),
-              std::bit_cast<std::uint64_t>(warm_s.at(n).y));
-  }
-}
-
-TEST(FactorCacheStorageTest, ConfigTagSeparatesEveryStorageOrderingPair) {
-  std::set<std::uint64_t> tags;
-  for (const SolverStorage s : {SolverStorage::kAuto, SolverStorage::kBanded,
-                                SolverStorage::kSkyline}) {
-    for (const OrderingChoice o :
-         {OrderingChoice::kDeckDefault, OrderingChoice::kNone,
-          OrderingChoice::kRcm, OrderingChoice::kHilbert}) {
-      tags.insert(factor_config(s, o));
-    }
-  }
-  EXPECT_EQ(tags.size(), 12u);
+  EXPECT_EQ(cold_none.displacement.size(), cold_rcm.displacement.size());
 }
 
 }  // namespace

@@ -268,7 +268,7 @@ TEST(PatchTest, LinearFieldReproducedExactly) {
   for (int n = 0; n < 4; ++n) {
     prob.fix(n, true, true, ux(m.pos(n)), uy(m.pos(n)));
   }
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   EXPECT_NEAR(sol.at(4).x, ux(m.pos(4)), 1e-12);
   EXPECT_NEAR(sol.at(4).y, uy(m.pos(4)), 1e-12);
 
@@ -305,7 +305,7 @@ TEST(BarTest, UniaxialTension) {
   prob.fix(id(0, 1), true, false);
   // Traction on the right edge: walk it so the left normal points +x.
   prob.edge_pressure(id(nx, 0), id(nx, 1), -sigma);  // left normal is -x
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
 
   // u(x) = sigma x / E.
   for (int i = 0; i <= nx; ++i) {
@@ -334,7 +334,7 @@ TEST(BarTest, PoissonContraction) {
   prob.fix(0, true, true);
   prob.fix(3, true, false);
   prob.edge_pressure(1, 2, -5.0);
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   // eps_y = -nu * sigma / E.
   EXPECT_NEAR(sol.at(3).y - sol.at(0).y, -0.25 * 5.0 / 100.0, 1e-9);
 }
@@ -374,7 +374,7 @@ TEST(LameTest, ThickCylinderHoopStress) {
   for (int j = 0; j < nz; ++j) {
     prob.edge_pressure(id(0, j + 1), id(0, j), p);
   }
-  const StaticSolution sol = solve(prob);
+  const StaticSolution sol = solve(prob, RunOptions{});
   const auto nodal = nodal_stresses(m, element_stresses(prob, sol));
 
   const double a = p * ri * ri / (ro * ro - ri * ri);
@@ -418,7 +418,7 @@ TEST(LameTest, HoopStiffOrthotropyReducesExpansion) {
     // External pressure on the outer face pushing inward (-r): walk the
     // edge upward so the left normal points -x.
     prob.edge_pressure(id(nr, 0), id(nr, 1), 100.0);
-    const StaticSolution sol = solve(prob);
+    const StaticSolution sol = solve(prob, RunOptions{});
     return sol.at(id(0, 0)).x;  // negative: ring shrinks
   };
   const double iso = bore_displacement(Material::isotropic(1.0e6, 0.2));
@@ -442,7 +442,7 @@ TEST(AssemblyTest, PressureTotalForcePlane) {
   prob.set_material(Material::isotropic(1.0, 0.0));
   prob.fix(2, true, true);
   prob.edge_pressure(0, 1, 7.0);  // length 2, left normal +y
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   prob.assemble(k, rhs);
   // Total applied force = p * L * t = 42, all in +y, split evenly.
@@ -461,7 +461,7 @@ TEST(AssemblyTest, AxisymPressureWeightsByRadius) {
   prob.set_material(Material::isotropic(1.0, 0.0));
   prob.fix(2, true, true);
   prob.edge_pressure(0, 1, 1.0);
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   prob.assemble(k, rhs);
   // Total force = p * 2*pi*rbar * L = 2*pi*2*2; the outer node gets more.
@@ -476,7 +476,7 @@ TEST(AssemblyTest, NoConstraintsThrows) {
   m.add_node({0, 1});
   m.add_element(0, 1, 2);
   StaticProblem prob(m, Analysis::kPlaneStress);
-  BandedMatrix k(prob.num_dofs(), prob.dof_half_bandwidth());
+  SkylineMatrix k(prob.dof_skyline_lows());
   std::vector<double> rhs;
   EXPECT_THROW(prob.assemble(k, rhs), Error);
 }
@@ -490,7 +490,7 @@ TEST(AssemblyTest, UnderConstrainedSingular) {
   StaticProblem prob(m, Analysis::kPlaneStress);
   prob.set_material(Material::isotropic(1.0, 0.3));
   prob.fix(0, true, true);  // rotation about node 0 remains free
-  EXPECT_THROW(solve(prob), Error);
+  EXPECT_THROW(solve(prob, RunOptions{}), Error);
 }
 
 TEST(AssemblyTest, PerElementMaterials) {

@@ -142,7 +142,7 @@ TEST(RefineTest, ConvergenceOnIdlzMesh) {
         prob.edge_pressure(a, b, 1000.0);
       }
     }
-    const fem::StaticSolution sol = fem::solve(prob);
+    const fem::StaticSolution sol = fem::solve(prob, RunOptions{});
     const auto hoop =
         fem::nodal_field(prob, sol, fem::StressComponent::kCircumferential);
     return *std::min_element(hoop.begin(), hoop.end());

@@ -4,11 +4,13 @@
 #include "util/parallel.h"
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -203,10 +205,24 @@ TEST(ParallelTest, PoolIsReusableAfterAnException) {
 TEST(ParallelTest, NestedCallFromWorkerRunsSerialInlineWithoutDeadlock) {
   std::atomic<std::int64_t> total{0};
   std::atomic<int> nested_on_worker{0};
+  std::atomic<bool> worker_started{false};
   util::parallel_for(
       4,
       [&](std::int64_t) {
-        if (util::ThreadPool::on_worker_thread()) nested_on_worker++;
+        if (util::ThreadPool::on_worker_thread()) {
+          worker_started = true;
+          nested_on_worker++;
+        } else if (util::hardware_threads() > 1) {
+          // The caller lane could otherwise finish every chunk before a
+          // pool worker wakes; hold it (bounded) until a worker has
+          // started one, so a nested call on a worker always happens.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (!worker_started &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        }
         // A nested parallel_for must fall back to inline-serial on worker
         // threads; either way it must complete and visit every index.
         std::int64_t local = 0;

@@ -739,43 +739,46 @@ TEST(ServeCacheTest, FactorTtlPlumbsThroughAndSummarizes) {
   EXPECT_NE(bench.find("\"factor_ttl_evictions\": 0"), std::string::npos);
 }
 
-TEST(ServeCacheTest, StorageAndOrderFlagsPinEveryJobsRunOptions) {
-  // The shared facade parses --storage/--order (joined and split forms)
-  // and threads them into both RunOptions and ServeOptions, so a pinned
-  // deployment re-keys its factor cache away from an auto one.
-  feio::api::CommonOptions common;
-  std::string error;
-  std::vector<std::string> argv_storage = {"--storage", "skyline",
-                                           "--order=hilbert"};
-  std::vector<char*> argv;
-  for (std::string& a : argv_storage) argv.push_back(a.data());
-  const int argc = static_cast<int>(argv.size());
-  for (int i = 0; i < argc; ++i) {
-    ASSERT_EQ(feio::api::consume_flag(common, argc, argv.data(), i, error),
-              feio::api::FlagStatus::kOk)
-        << error;
+TEST(ServeCacheTest, OrderFlagPinsEveryJobsRunOptions) {
+  // The shared facade parses --order (joined and split forms) and threads
+  // it into both RunOptions and ServeOptions.
+  for (std::vector<std::string> flag :
+       {std::vector<std::string>{"--order", "rcm"},
+        std::vector<std::string>{"--order=rcm"}}) {
+    feio::api::CommonOptions common;
+    std::string error;
+    std::vector<char*> argv;
+    for (std::string& a : flag) argv.push_back(a.data());
+    const int argc = static_cast<int>(argv.size());
+    for (int i = 0; i < argc; ++i) {
+      ASSERT_EQ(feio::api::consume_flag(common, argc, argv.data(), i, error),
+                feio::api::FlagStatus::kOk)
+          << error;
+    }
+    EXPECT_EQ(feio::api::run_options(common).ordering, OrderingChoice::kRcm);
+    EXPECT_EQ(feio::api::serve_options(common).ordering,
+              OrderingChoice::kRcm);
   }
-  const RunOptions ro = feio::api::run_options(common);
-  EXPECT_EQ(ro.solver_storage, SolverStorage::kSkyline);
-  EXPECT_EQ(ro.ordering, OrderingChoice::kHilbert);
-  const serve::ServeOptions so = feio::api::serve_options(common);
-  EXPECT_EQ(so.solver_storage, SolverStorage::kSkyline);
-  EXPECT_EQ(so.ordering, OrderingChoice::kHilbert);
 
-  // Junk values are structured flag errors, not silent defaults.
+  // Junk values are structured flag errors, not silent defaults; the
+  // removed layout flag is no longer a common flag at all.
   feio::api::CommonOptions bad;
-  std::string junk = "--storage=columnar";
-  char* bad_argv[] = {junk.data()};
+  std::string error;
+  std::string junk = "--order=hilbert";
+  std::string storage = "--storage=skyline";
+  char* bad_argv[] = {junk.data(), storage.data()};
   int j = 0;
-  EXPECT_EQ(feio::api::consume_flag(bad, 1, bad_argv, j, error),
+  EXPECT_EQ(feio::api::consume_flag(bad, 2, bad_argv, j, error),
             feio::api::FlagStatus::kError);
-  EXPECT_NE(error.find("auto, banded or skyline"), std::string::npos);
+  EXPECT_NE(error.find("deck, none or rcm"), std::string::npos);
+  j = 1;
+  EXPECT_EQ(feio::api::consume_flag(bad, 2, bad_argv, j, error),
+            feio::api::FlagStatus::kNotMine);
 
-  // A pinned session still serves correctly: forced-skyline solves hit
-  // the cache on repeats exactly like the auto path.
+  // A pinned session still serves correctly: repeats hit the cache.
   serve::ServeOptions opts;
   opts.threads = 1;
-  opts.solver_storage = SolverStorage::kSkyline;
+  opts.ordering = OrderingChoice::kRcm;
   std::vector<std::string> envelopes;
   const serve::ServeSummary s =
       run_serve({solve_job("a"), solve_job("a")}, envelopes, opts);

@@ -28,7 +28,7 @@ REQUIRED_KEYS = {
 # payloads; see docs/BENCHMARKS.md and docs/ROBUSTNESS.md).
 BENCH_KEYS = {
     "feio.bench.pipeline/1": ["threads", "all_identical", "cases", "metrics"],
-    "feio.bench.solver/2": ["threads", "all_identical", "cases", "metrics"],
+    "feio.bench.solver/3": ["threads", "all_identical", "cases", "metrics"],
     "feio.bench.serve/1": ["jobs", "ok", "rejected", "timed_out", "faulted",
                            "errors", "wall_ms", "jobs_per_sec", "p50_ms",
                            "p99_ms", "max_ms", "connections",
@@ -45,16 +45,15 @@ SERVE_CACHE_KEYS = ("format_enabled", "format_hits", "format_misses",
                     "factor_misses", "factor_load_reuses",
                     "factor_ttl_evictions", "factor_hit_rate")
 
-# Per-case keys of the feio.bench.solver/2 ordering x storage ablation
-# payload (docs/BENCHMARKS.md). A `skipped` case (either layout over the
-# harness byte or flop cap) must carry zero timings; a run case must be
+# Per-case keys of the feio.bench.solver/3 ordering x threads payload
+# (docs/BENCHMARKS.md). A `skipped` case (its envelope over the harness
+# byte or flop cap) must carry zero timings; a run case must be
 # `identical` (parallel output byte-equal to serial).
-SOLVER_CASE_KEYS = ("name", "stage", "mesh", "ordering", "storage",
-                    "auto_storage", "n", "half_bandwidth", "node_bw",
-                    "band_bytes", "skyline_bytes", "serial_ms", "parallel_ms",
-                    "speedup", "identical", "skipped")
-SOLVER_ORDERINGS = ("none", "rcm", "hilbert")
-SOLVER_STORAGES = ("banded", "skyline")
+SOLVER_CASE_KEYS = ("name", "stage", "mesh", "ordering", "n",
+                    "half_bandwidth", "node_bw", "band_bytes",
+                    "skyline_bytes", "serial_ms", "parallel_ms", "speedup",
+                    "identical", "skipped")
+SOLVER_ORDERINGS = ("none", "rcm")
 SERVE_TENANT_KEYS = ("tenant", "weight", "jobs", "ok", "rejected",
                      "timed_out", "faulted", "errors", "share")
 SERVE_WINDOW_KEYS = ("jobs", "wall_ms", "jobs_per_sec", "p50_ms", "p99_ms",
@@ -101,7 +100,7 @@ def check_report(path, want_kind=None):
                 fail(f"{path}: serve buckets sum to {buckets}, "
                      f"want jobs={doc['jobs']}")
             check_serve_extensions(path, doc)
-        elif payload == "feio.bench.solver/2":
+        elif payload == "feio.bench.solver/3":
             check_solver_cases(path, doc)
         else:
             for case in doc["cases"]:
@@ -124,7 +123,7 @@ def check_report(path, want_kind=None):
 
 
 def check_solver_cases(path, doc):
-    """Per-case shape of the feio.bench.solver/2 ablation payload."""
+    """Per-case shape of the feio.bench.solver/3 payload."""
     for case in doc["cases"]:
         name = case.get("name")
         for key in SOLVER_CASE_KEYS:
@@ -133,10 +132,6 @@ def check_solver_cases(path, doc):
         if case["ordering"] not in SOLVER_ORDERINGS:
             fail(f"{path}: solver case {name!r} ordering "
                  f"{case['ordering']!r}, want one of {SOLVER_ORDERINGS}")
-        for key in ("storage", "auto_storage"):
-            if case[key] not in SOLVER_STORAGES:
-                fail(f"{path}: solver case {name!r} {key} "
-                     f"{case[key]!r}, want one of {SOLVER_STORAGES}")
         if case["band_bytes"] < 0 or case["skyline_bytes"] < 0:
             fail(f"{path}: solver case {name!r} has negative byte counts")
         if case["skipped"]:

@@ -27,7 +27,7 @@
 //
 // --threads N runs the parallel pipeline stages (contour extraction,
 // assembly, shaping, batch decks) and the FEM hot path (element assembly,
-// blocked banded factorization) on N threads; `--threads all` uses every
+// blocked envelope factorization) on N threads; `--threads all` uses every
 // hardware thread. Output is byte-identical to a serial run for any N.
 //
 // Observability (docs/OBSERVABILITY.md), accepted by every subcommand:
@@ -105,8 +105,7 @@ void print_usage(std::FILE* to) {
                "usage:\n"
                "  feio idlz <deck>... [--out DIR] [--threads N] "
                "[--diag-json FILE]\n"
-               "      [--order deck|none|rcm|hilbert] "
-               "[--storage auto|banded|skyline]\n"
+               "      [--order deck|none|rcm]\n"
                "  feio ospl <deck>... [--out DIR] [--threads N] "
                "[--diag-json FILE]\n"
                "  feio check <deck>... [--ospl] [--json] [--threads N] "
@@ -122,7 +121,7 @@ void print_usage(std::FILE* to) {
                "      [--factor-ttl-ms N]\n"
                "      [--window-jobs N] [--ablate-caches] [--out DIR]\n"
                "      [--max-conns N] [--tenant NAME:weight=W,queue=N,...]\n"
-               "      [--order ...] [--storage ...]\n"
+               "      [--order ...]\n"
                "  feio help\n"
                "observability (every subcommand; see docs/OBSERVABILITY.md):\n"
                "  --trace FILE         Chrome trace-event JSON of this run\n"
@@ -140,9 +139,7 @@ void print_usage(std::FILE* to) {
                "  the rolling summary windows; --ablate-caches replays the\n"
                "  stream with caches off and adds the speedup to\n"
                "  BENCH_serve.json\n"
-               "--order overrides the deck's renumbering scheme; --storage\n"
-               "  pins the stiffness layout (auto lets the fill predictor\n"
-               "  choose between banded and compressed skyline)\n"
+               "--order overrides the deck's renumbering scheme\n"
                "--listen ADDR serves concurrent connections on host:port or\n"
                "  unix:path; --max-conns N stops after N connections\n"
                "  (0 = accept forever)\n"
