@@ -108,8 +108,8 @@ void BM_LabelPlacement(benchmark::State& state) {
       ospl::contour_levels(lo, hi, ospl::auto_interval(lo, hi));
   const auto segs = ospl::extract_contours(m, values, levels);
   const mesh::Topology topo(m);
-  const std::set<mesh::Edge> boundary(topo.boundary_edges().begin(),
-                                      topo.boundary_edges().end());
+  const std::vector<mesh::Edge> boundary(topo.boundary_edges().begin(),
+                                         topo.boundary_edges().end());
   for (auto _ : state) {
     ospl::LabelResult r = ospl::place_labels(segs, boundary, m.bounds());
     benchmark::DoNotOptimize(r.accepted.size());

@@ -1,6 +1,5 @@
 #include "idlz/assembler.h"
 
-#include <array>
 #include <cstdint>
 #include <limits>
 #include <set>
@@ -9,61 +8,16 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/guard.h"
-#include "util/parallel.h"
 
 namespace feio::idlz {
 namespace {
 
-// The chain-merge core of triangulate_strip, emitting (a, b, c) triples
-// instead of mutating a mesh — so strips of different subdivisions can be
-// triangulated concurrently into per-subdivision buffers and appended to
-// the mesh afterwards in subdivision order, reproducing the serial element
-// numbering exactly.
-void merge_chains(const std::vector<int>& bottom,
-                  const std::vector<double>& bottom_pos,
-                  const std::vector<int>& top,
-                  const std::vector<double>& top_pos, DiagonalStyle diagonals,
-                  std::vector<std::array<int, 3>>& tris) {
-  FEIO_ASSERT(bottom.size() == bottom_pos.size());
-  FEIO_ASSERT(top.size() == top_pos.size());
-  if (bottom.size() < 2 && top.size() < 2) return;  // nothing to fill
-  FEIO_ASSERT(!bottom.empty() && !top.empty());
-
-  // Merge the two chains left to right. Advancing the bottom chain emits
-  // triangle (b_i, b_{i+1}, t_j); advancing the top chain emits
-  // (b_i, t_{j+1}, t_j). A tie means a square cell: kUniform always
-  // advances the top chain first (the "/" diagonal of the paper's
-  // rectangle plots, symmetric fans on trapezoid slants); kAlternating
-  // flips the choice cell by cell for the union-jack pattern.
-  size_t i = 0;
-  size_t j = 0;
-  bool top_first = true;
-  const double inf = std::numeric_limits<double>::infinity();
-  while (i + 1 < bottom.size() || j + 1 < top.size()) {
-    const double next_b = i + 1 < bottom.size() ? bottom_pos[i + 1] : inf;
-    const double next_t = j + 1 < top.size() ? top_pos[j + 1] : inf;
-    const bool tie = next_t == next_b;
-    const bool advance_top = tie ? top_first : next_t < next_b;
-    if (tie && diagonals == DiagonalStyle::kAlternating) {
-      top_first = !top_first;
-    }
-    if (advance_top) {
-      tris.push_back({bottom[i], top[j + 1], top[j]});
-      ++j;
-    } else {
-      tris.push_back({bottom[i], bottom[i + 1], top[j]});
-      ++i;
-    }
-  }
-}
-
-// Triangulates every strip pair of one subdivision into `tris`. Only reads
-// shared state (the subdivision and the finished node_at map), so it is
-// safe to run for all subdivisions concurrently.
+// Triangulates every strip pair of one subdivision into `mesh`, appending
+// the new element ids to `elements`.
 void triangulate_subdivision(const Subdivision& sub,
                              const std::map<GridPoint, int>& node_at,
-                             DiagonalStyle diagonals,
-                             std::vector<std::array<int, 3>>& tris) {
+                             DiagonalStyle diagonals, mesh::TriMesh& mesh,
+                             std::vector<int>& elements) {
   for (int s = 0; s + 1 < sub.strip_count(); ++s) {
     std::vector<int> lower;
     std::vector<double> lower_pos;
@@ -81,7 +35,8 @@ void triangulate_subdivision(const Subdivision& sub,
             static_cast<double>(sub.is_col_trapezoid() ? gp.l : gp.k));
       }
     }
-    merge_chains(lower, lower_pos, upper, upper_pos, diagonals, tris);
+    triangulate_strip(lower, lower_pos, upper, upper_pos, mesh, &elements,
+                      diagonals);
   }
 }
 
@@ -105,10 +60,37 @@ void triangulate_strip(const std::vector<int>& bottom,
                        const std::vector<double>& top_pos,
                        mesh::TriMesh& mesh, std::vector<int>* new_elements,
                        DiagonalStyle diagonals) {
-  std::vector<std::array<int, 3>> tris;
-  merge_chains(bottom, bottom_pos, top, top_pos, diagonals, tris);
-  for (const std::array<int, 3>& t : tris) {
-    const int e = mesh.add_element(t[0], t[1], t[2]);
+  FEIO_ASSERT(bottom.size() == bottom_pos.size());
+  FEIO_ASSERT(top.size() == top_pos.size());
+  if (bottom.size() < 2 && top.size() < 2) return;  // nothing to fill
+  FEIO_ASSERT(!bottom.empty() && !top.empty());
+
+  // Merge the two chains left to right. Advancing the bottom chain emits
+  // triangle (b_i, b_{i+1}, t_j); advancing the top chain emits
+  // (b_i, t_{j+1}, t_j). A tie means a square cell: kUniform always
+  // advances the top chain first (the "/" diagonal of the paper's
+  // rectangle plots, symmetric fans on trapezoid slants); kAlternating
+  // flips the choice cell by cell for the union-jack pattern.
+  size_t i = 0;
+  size_t j = 0;
+  bool top_first = true;
+  const double inf = std::numeric_limits<double>::infinity();
+  while (i + 1 < bottom.size() || j + 1 < top.size()) {
+    const double next_b = i + 1 < bottom.size() ? bottom_pos[i + 1] : inf;
+    const double next_t = j + 1 < top.size() ? top_pos[j + 1] : inf;
+    const bool tie = next_t == next_b;
+    const bool advance_top = tie ? top_first : next_t < next_b;
+    if (tie && diagonals == DiagonalStyle::kAlternating) {
+      top_first = !top_first;
+    }
+    int e = -1;
+    if (advance_top) {
+      e = mesh.add_element(bottom[i], top[j + 1], top[j]);
+      ++j;
+    } else {
+      e = mesh.add_element(bottom[i], bottom[i + 1], top[j]);
+      ++i;
+    }
     if (new_elements != nullptr) new_elements->push_back(e);
   }
 }
@@ -132,12 +114,9 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
                  "duplicate subdivision number " + std::to_string(sub.id));
   }
 
-  // Pass 1: validate and number nodes subdivision by subdivision.
-  // Validation runs serially first so the error reported for a bad deck is
-  // the first one in deck order regardless of thread count; grid-point
-  // enumeration is per-subdivision independent and runs in parallel. The
-  // dedup numbering itself must stay sequential — shared nodes get the id
-  // of the first subdivision (in deck order) that covers their grid point.
+  // Pass 1: validate every subdivision, then number nodes subdivision by
+  // subdivision. Shared nodes get the id of the first subdivision (in deck
+  // order) that covers their grid point.
   for (const Subdivision& sub : subdivisions) {
     sub.validate();
     if (sub.k2 > limits.max_k || sub.l2 > limits.max_l) {
@@ -159,15 +138,9 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
   }
   util::guard_check_dofs(estimated_nodes, "assemblage nodes (estimated)");
 
-  std::vector<std::vector<GridPoint>> points(subdivisions.size());
-  util::parallel_for(static_cast<std::int64_t>(subdivisions.size()),
-                     [&](std::int64_t si) {
-                       points[static_cast<size_t>(si)] =
-                           subdivisions[static_cast<size_t>(si)].grid_points();
-                     });
   for (size_t si = 0; si < subdivisions.size(); ++si) {
     FEIO_CHECK_CANCEL("idlz.assemble.number");
-    for (const GridPoint& gp : points[si]) {
+    for (const GridPoint& gp : subdivisions[si].grid_points()) {
       auto [it, inserted] = out.node_at.try_emplace(
           gp, static_cast<int>(out.grid_of.size()));
       if (inserted) {
@@ -183,23 +156,10 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
                    " nodes, exceeding the allowed " +
                    std::to_string(limits.max_nodes) + " (Table 2 restriction)");
 
-  // Pass 2: create elements strip pair by strip pair. Triangulation only
-  // reads the finished node numbering, so subdivisions triangulate
-  // concurrently into staging buffers; the buffers are flushed into the
-  // mesh in subdivision order, which assigns exactly the serial element
-  // ids.
-  std::vector<std::vector<std::array<int, 3>>> staged(subdivisions.size());
-  util::parallel_for(
-      static_cast<std::int64_t>(subdivisions.size()), [&](std::int64_t si) {
-        triangulate_subdivision(subdivisions[static_cast<size_t>(si)],
-                                out.node_at, diagonals,
-                                staged[static_cast<size_t>(si)]);
-      });
+  // Pass 2: create elements strip pair by strip pair.
   for (size_t si = 0; si < subdivisions.size(); ++si) {
-    for (const std::array<int, 3>& t : staged[si]) {
-      out.subdivision_elements[si].push_back(
-          out.mesh.add_element(t[0], t[1], t[2]));
-    }
+    triangulate_subdivision(subdivisions[si], out.node_at, diagonals,
+                            out.mesh, out.subdivision_elements[si]);
   }
   FEIO_REQUIRE(
       out.mesh.num_elements() <= limits.max_elements,

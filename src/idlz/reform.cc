@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
-#include <utility>
+#include <span>
+#include <vector>
 
 #include "geom/vec2.h"
 #include "mesh/topology.h"
@@ -90,20 +90,13 @@ ReformReport reform(mesh::TriMesh& mesh, const ReformOptions& opts) {
     ++report.passes;
     int flips_this_pass = 0;
 
-    // Rebuild the edge map each pass; flips invalidate it incrementally and
-    // meshes here are small (hundreds of elements in the paper's regime).
-    std::map<mesh::Edge, std::vector<int>> edge_elems;
-    for (int e = 0; e < mesh.num_elements(); ++e) {
-      const auto& n = mesh.element(e).n;
-      for (int k = 0; k < 3; ++k) {
-        edge_elems[mesh::Edge(n[static_cast<size_t>(k)],
-                              n[static_cast<size_t>((k + 1) % 3)])]
-            .push_back(e);
-      }
-    }
-
+    // This pass's connectivity. Its interior edges are visited in sorted
+    // (min, max) node order; a flip makes it stale for the two elements it
+    // rewrites, which then sit out the rest of the pass.
+    const mesh::Topology topo(mesh);
     std::vector<char> touched(static_cast<size_t>(mesh.num_elements()), 0);
-    for (const auto& [edge, elems] : edge_elems) {
+    for (int id = 0; id < topo.num_edges(); ++id) {
+      const std::span<const int> elems = topo.edge_elements(id);
       if (elems.size() != 2) continue;
       const int e1 = elems[0];
       const int e2 = elems[1];

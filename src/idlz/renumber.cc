@@ -1,10 +1,8 @@
 #include "idlz/renumber.h"
 
 #include <algorithm>
-#include <deque>
 
 #include "mesh/bandwidth.h"
-#include "mesh/topology.h"
 #include "util/error.h"
 
 namespace feio::idlz {
@@ -12,16 +10,14 @@ namespace {
 
 // BFS from `start`; returns level of each node (-1 when unreached) and the
 // index of a deepest node.
-std::vector<int> bfs_levels(const std::vector<std::vector<int>>& adj,
-                            int start, int& deepest) {
-  std::vector<int> level(adj.size(), -1);
-  std::deque<int> queue{start};
+std::vector<int> bfs_levels(const mesh::Csr& adj, int start, int& deepest) {
+  std::vector<int> level(static_cast<size_t>(adj.rows()), -1);
+  std::vector<int> queue{start};
   level[static_cast<size_t>(start)] = 0;
   deepest = start;
-  while (!queue.empty()) {
-    const int n = queue.front();
-    queue.pop_front();
-    for (int nb : adj[static_cast<size_t>(n)]) {
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const int n = queue[head];
+    for (int nb : adj.row(n)) {
       if (level[static_cast<size_t>(nb)] < 0) {
         level[static_cast<size_t>(nb)] = level[static_cast<size_t>(n)] + 1;
         if (level[static_cast<size_t>(nb)] > level[static_cast<size_t>(deepest)]) {
@@ -34,10 +30,57 @@ std::vector<int> bfs_levels(const std::vector<std::vector<int>>& adj,
   return level;
 }
 
+// Cuthill–McKee visit order (order[new] = old). Components are ordered one
+// after another, each from its pseudo-peripheral node; a node's unvisited
+// neighbours join the queue by ascending degree, ties by index.
+std::vector<int> cuthill_mckee_order(const mesh::Csr& adj) {
+  const int n = adj.rows();
+  std::vector<int> order;  // doubles as the BFS queue
+  order.reserve(static_cast<size_t>(n));
+  std::vector<char> visited(static_cast<size_t>(n), 0);
+  auto degree = [&](int i) { return adj.row(i).size(); };
+
+  std::vector<int> nbrs;
+  for (int seed = 0; seed < n; ++seed) {
+    if (visited[static_cast<size_t>(seed)]) continue;
+    const int start =
+        adj.row(seed).empty() ? seed : pseudo_peripheral_node(adj, seed);
+    visited[static_cast<size_t>(start)] = 1;
+    order.push_back(start);
+    for (size_t head = order.size() - 1; head < order.size(); ++head) {
+      nbrs.clear();
+      for (int nb : adj.row(order[head])) {
+        if (!visited[static_cast<size_t>(nb)]) nbrs.push_back(nb);
+      }
+      std::sort(nbrs.begin(), nbrs.end(), [&](int a, int b) {
+        const size_t da = degree(a);
+        const size_t db = degree(b);
+        return da != db ? da < db : a < b;
+      });
+      for (int nb : nbrs) {
+        visited[static_cast<size_t>(nb)] = 1;
+        order.push_back(nb);
+      }
+    }
+  }
+  FEIO_ASSERT(static_cast<int>(order.size()) == n);
+  return order;
+}
+
+// perm[old] = new for a visit order, read forwards (CM) or backwards (RCM).
+std::vector<int> permutation_of(const std::vector<int>& order, bool reverse) {
+  const int n = static_cast<int>(order.size());
+  std::vector<int> perm(order.size());
+  for (int nu = 0; nu < n; ++nu) {
+    perm[static_cast<size_t>(order[static_cast<size_t>(nu)])] =
+        reverse ? n - 1 - nu : nu;
+  }
+  return perm;
+}
+
 }  // namespace
 
-int pseudo_peripheral_node(const std::vector<std::vector<int>>& adjacency,
-                           int seed) {
+int pseudo_peripheral_node(const mesh::Csr& adjacency, int seed) {
   // George–Liu repeated BFS. Each round roots a level structure at
   // `candidate`; while the eccentricity keeps growing, the minimum-degree
   // node of the deepest level becomes the next candidate (the "shrinking
@@ -57,10 +100,10 @@ int pseudo_peripheral_node(const std::vector<std::vector<int>>& adjacency,
     if (ecc <= depth) break;
     depth = ecc;
     int pick = far;
-    for (int v = 0; v < static_cast<int>(adjacency.size()); ++v) {
+    for (int v = 0; v < adjacency.rows(); ++v) {
       if (level[static_cast<size_t>(v)] != ecc) continue;
-      const size_t dv = adjacency[static_cast<size_t>(v)].size();
-      const size_t dp = adjacency[static_cast<size_t>(pick)].size();
+      const size_t dv = adjacency.row(v).size();
+      const size_t dp = adjacency.row(pick).size();
       if (dv < dp || (dv == dp && v < pick)) pick = v;
     }
     best = pick;
@@ -72,55 +115,7 @@ int pseudo_peripheral_node(const std::vector<std::vector<int>>& adjacency,
 std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
                                            bool reverse) {
   const mesh::Topology topo(mesh);
-  const int n = mesh.num_nodes();
-  std::vector<std::vector<int>> adj(static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) adj[static_cast<size_t>(i)] = topo.neighbors(i);
-
-  std::vector<int> order;  // order[new] = old
-  order.reserve(static_cast<size_t>(n));
-  std::vector<char> visited(static_cast<size_t>(n), 0);
-
-  auto degree = [&](int i) {
-    return static_cast<int>(adj[static_cast<size_t>(i)].size());
-  };
-
-  for (int seed = 0; seed < n; ++seed) {
-    if (visited[static_cast<size_t>(seed)]) continue;
-    const int start =
-        adj[static_cast<size_t>(seed)].empty()
-            ? seed
-            : pseudo_peripheral_node(adj, seed);
-
-    std::deque<int> queue{start};
-    visited[static_cast<size_t>(start)] = 1;
-    while (!queue.empty()) {
-      const int cur = queue.front();
-      queue.pop_front();
-      order.push_back(cur);
-      std::vector<int> nbrs;
-      for (int nb : adj[static_cast<size_t>(cur)]) {
-        if (!visited[static_cast<size_t>(nb)]) nbrs.push_back(nb);
-      }
-      std::sort(nbrs.begin(), nbrs.end(), [&](int a, int b) {
-        const int da = degree(a);
-        const int db = degree(b);
-        return da != db ? da < db : a < b;
-      });
-      for (int nb : nbrs) {
-        visited[static_cast<size_t>(nb)] = 1;
-        queue.push_back(nb);
-      }
-    }
-  }
-  FEIO_ASSERT(static_cast<int>(order.size()) == n);
-
-  if (reverse) std::reverse(order.begin(), order.end());
-
-  std::vector<int> perm(static_cast<size_t>(n));  // perm[old] = new
-  for (int nu = 0; nu < n; ++nu) {
-    perm[static_cast<size_t>(order[static_cast<size_t>(nu)])] = nu;
-  }
-  return perm;
+  return permutation_of(cuthill_mckee_order(topo.adjacency()), reverse);
 }
 
 RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
@@ -131,6 +126,10 @@ RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
   report.profile_after = report.profile_before;
   if (mesh.num_nodes() == 0) return report;
 
+  // One visit order serves both schemes: RCM is CM read backwards. Each
+  // candidate is scored through its permutation, not on a renumbered copy.
+  const std::vector<int> order =
+      cuthill_mckee_order(mesh::Topology(mesh).adjacency());
   struct Candidate {
     NumberingScheme scheme;
     std::vector<int> perm;
@@ -138,26 +137,22 @@ RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
     long profile = 0;
   };
   std::vector<Candidate> candidates;
-  auto add_candidate = [&](NumberingScheme s, std::vector<int> perm) {
+  auto add_candidate = [&](NumberingScheme s, bool reverse) {
     Candidate c;
     c.scheme = s;
-    c.perm = std::move(perm);
-    mesh::TriMesh trial = mesh;
-    trial.renumber_nodes(c.perm);
-    c.bandwidth = mesh::bandwidth(trial);
-    c.profile = mesh::profile(trial);
+    c.perm = permutation_of(order, reverse);
+    c.bandwidth = mesh::bandwidth(mesh, c.perm);
+    c.profile = mesh::profile(mesh, c.perm);
     candidates.push_back(std::move(c));
   };
 
   if (scheme == NumberingScheme::kCuthillMcKee ||
       scheme == NumberingScheme::kBest) {
-    add_candidate(NumberingScheme::kCuthillMcKee,
-                  cuthill_mckee_permutation(mesh, /*reverse=*/false));
+    add_candidate(NumberingScheme::kCuthillMcKee, /*reverse=*/false);
   }
   if (scheme == NumberingScheme::kReverseCuthillMcKee ||
       scheme == NumberingScheme::kBest) {
-    add_candidate(NumberingScheme::kReverseCuthillMcKee,
-                  cuthill_mckee_permutation(mesh, /*reverse=*/true));
+    add_candidate(NumberingScheme::kReverseCuthillMcKee, /*reverse=*/true);
   }
 
   const Candidate* best = nullptr;

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 
 namespace feio::idlz {
@@ -44,8 +45,8 @@ std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
                                            bool reverse);
 
 // Pseudo-peripheral node of the component containing `seed` (George–Liu
-// repeated-BFS heuristic). Exposed for tests.
-int pseudo_peripheral_node(const std::vector<std::vector<int>>& adjacency,
-                           int seed);
+// repeated-BFS heuristic) in the node->node lists `adjacency`. Exposed for
+// tests.
+int pseudo_peripheral_node(const mesh::Csr& adjacency, int seed);
 
 }  // namespace feio::idlz

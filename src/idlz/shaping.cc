@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdint>
 #include <map>
 #include <numeric>
 #include <string>
@@ -11,7 +10,6 @@
 #include "geom/arc.h"
 #include "util/cancel.h"
 #include "util/fault.h"
-#include "util/parallel.h"
 
 namespace feio::idlz {
 namespace {
@@ -151,21 +149,15 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
     }
 
     // --- Locate the remaining nodes by linear interpolation. ------------
-    // Strips touch disjoint node sets within a subdivision (only side
-    // nodes are shared, and those are already located, making place() a
-    // read-only no-op for them), so the strip loop runs in parallel with
-    // per-chunk interpolation counters summed in chunk order. Each node's
-    // position depends only on the side snapshots, never on another
-    // strip's result — output is identical to a serial sweep.
+    // Each node's position depends only on the side snapshots; side nodes
+    // are already located, so place() leaves them where they are.
     const int strips = sub.strip_count();
-    auto place = [&](int n, geom::Vec2 p, int& count) {
+    auto place = [&](int n, geom::Vec2 p) {
       if (located[static_cast<size_t>(n)]) return;  // never move a node twice
       assembly.mesh.set_pos(n, p);
       located[static_cast<size_t>(n)] = 1;
-      ++count;
+      ++report.nodes_interpolated;
     };
-    const int chunks = util::chunk_count(strips, 0);
-    std::vector<int> interpolated(static_cast<size_t>(chunks), 0);
 
     if (use_parallel) {
       auto positions_of = [&](const SideState& st) {
@@ -176,43 +168,32 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
       };
       const std::vector<geom::Vec2> low = positions_of(par_lo);
       const std::vector<geom::Vec2> high = positions_of(par_hi);
-      util::parallel_chunks(
-          strips, chunks, [&](int c, std::int64_t begin, std::int64_t end) {
-            for (int s = static_cast<int>(begin); s < end; ++s) {
-              const double v =
-                  strips > 1 ? static_cast<double>(s) / (strips - 1) : 0.0;
-              const int w = sub.strip_width(s);
-              for (int j = 0; j < w; ++j) {
-                const double u =
-                    w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
-                const geom::Vec2 pa = side_at(low, u * (low.size() - 1));
-                const geom::Vec2 pb = side_at(high, u * (high.size() - 1));
-                place(assembly.node_at.at(sub.strip_node(s, j)),
-                      geom::lerp(pa, pb, v),
-                      interpolated[static_cast<size_t>(c)]);
-              }
-            }
-          });
+      for (int s = 0; s < strips; ++s) {
+        const double v =
+            strips > 1 ? static_cast<double>(s) / (strips - 1) : 0.0;
+        const int w = sub.strip_width(s);
+        for (int j = 0; j < w; ++j) {
+          const double u = w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
+          const geom::Vec2 pa = side_at(low, u * (low.size() - 1));
+          const geom::Vec2 pb = side_at(high, u * (high.size() - 1));
+          place(assembly.node_at.at(sub.strip_node(s, j)),
+                geom::lerp(pa, pb, v));
+        }
+      }
     } else {
-      util::parallel_chunks(
-          strips, chunks, [&](int c, std::int64_t begin, std::int64_t end) {
-            for (int s = static_cast<int>(begin); s < end; ++s) {
-              const int w = sub.strip_width(s);
-              const geom::Vec2 pa =
-                  assembly.mesh.pos(cross_lo.nodes[static_cast<size_t>(s)]);
-              const geom::Vec2 pb =
-                  assembly.mesh.pos(cross_hi.nodes[static_cast<size_t>(s)]);
-              for (int j = 0; j < w; ++j) {
-                const double u =
-                    w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
-                place(assembly.node_at.at(sub.strip_node(s, j)),
-                      geom::lerp(pa, pb, u),
-                      interpolated[static_cast<size_t>(c)]);
-              }
-            }
-          });
+      for (int s = 0; s < strips; ++s) {
+        const int w = sub.strip_width(s);
+        const geom::Vec2 pa =
+            assembly.mesh.pos(cross_lo.nodes[static_cast<size_t>(s)]);
+        const geom::Vec2 pb =
+            assembly.mesh.pos(cross_hi.nodes[static_cast<size_t>(s)]);
+        for (int j = 0; j < w; ++j) {
+          const double u = w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
+          place(assembly.node_at.at(sub.strip_node(s, j)),
+                geom::lerp(pa, pb, u));
+        }
+      }
     }
-    for (int count : interpolated) report.nodes_interpolated += count;
   }
 
   const auto unlocated =
@@ -221,7 +202,6 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
                                    " nodes remain unlocated after shaping");
 
   assembly.mesh.orient_ccw();
-  assembly.mesh.classify_boundary();
   return report;
 }
 

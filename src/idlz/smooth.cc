@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <utility>
 
 #include "mesh/quality.h"
@@ -48,7 +49,7 @@ SmoothReport smooth_interior(mesh::TriMesh& mesh,
     double max_move = 0.0;
     for (int n = 0; n < mesh.num_nodes(); ++n) {
       if (mesh.node(n).boundary != mesh::BoundaryKind::kInterior) continue;
-      const auto& nbrs = topo.neighbors(n);
+      const std::span<const int> nbrs = topo.neighbors(n);
       if (nbrs.empty()) continue;
 
       geom::Vec2 centroid;

@@ -5,6 +5,7 @@
 // scheme". These helpers compute the quantities that scheme minimizes.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "mesh/tri_mesh.h"
@@ -26,5 +27,10 @@ std::vector<int> lowest_neighbors(const TriMesh& mesh);
 // in node terms (the storage the fem solve allocates, times 2x2 dof
 // blocks).
 long profile(const TriMesh& mesh);
+
+// bandwidth() and profile() of the mesh renumbered by `perm` (new_index =
+// perm[old_index]), computed without renumbering a copy.
+int bandwidth(const TriMesh& mesh, std::span<const int> perm);
+long profile(const TriMesh& mesh, std::span<const int> perm);
 
 }  // namespace feio::mesh

@@ -1,5 +1,6 @@
 #include "ospl/labels.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "util/strings.h"
@@ -29,7 +30,7 @@ std::string format_level(double level, int decimals) {
 }
 
 LabelResult place_labels(const std::vector<ContourSegment>& segments,
-                         const std::set<mesh::Edge>& boundary_edges,
+                         std::span<const mesh::Edge> boundary_edges,
                          const geom::BBox& plot_bounds,
                          const LabelOptions& opts) {
   LabelResult result;
@@ -44,7 +45,10 @@ LabelResult place_labels(const std::vector<ContourSegment>& segments,
     for (int end = 0; end < 2; ++end) {
       const mesh::Edge& edge = end == 0 ? seg.edge_a : seg.edge_b;
       if (edge.a < 0) continue;  // clipped end point, not on a mesh edge
-      if (boundary_edges.count(edge) == 0) continue;
+      if (!std::binary_search(boundary_edges.begin(), boundary_edges.end(),
+                              edge)) {
+        continue;
+      }
       candidates.push_back(ContourLabel{end == 0 ? seg.a : seg.b, seg.level,
                                         format_level(seg.level,
                                                      opts.decimals)});

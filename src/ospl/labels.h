@@ -7,7 +7,7 @@
 // point inside the boundary."
 #pragma once
 
-#include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,12 +50,12 @@ struct LabelResult {
 // decimals, trailing '.' when decimals == 0 (e.g. "+12500.").
 std::string format_level(double level, int decimals);
 
-// Places labels at contour/boundary intersections. `boundary_edges` is the
-// set of mesh boundary edges (from Topology); a segment end point lying on
-// one of them is a boundary intersection. Zero-level labels are always
-// accepted.
+// Places labels at contour/boundary intersections. `boundary_edges` holds
+// the mesh boundary edges sorted (as Topology lists them); a segment end
+// point lying on one of them is a boundary intersection. Zero-level labels
+// are always accepted.
 LabelResult place_labels(const std::vector<ContourSegment>& segments,
-                         const std::set<mesh::Edge>& boundary_edges,
+                         std::span<const mesh::Edge> boundary_edges,
                          const geom::BBox& plot_bounds,
                          const LabelOptions& opts = {});
 

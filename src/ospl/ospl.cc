@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
+#include <vector>
 
 #include "mesh/topology.h"
 #include "mesh/validate.h"
@@ -107,13 +107,13 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
 
   // Boundary: adjacent boundary nodes connected by straight lines.
   FEIO_CHECK_CANCEL("ospl.boundary");
-  std::set<mesh::Edge> boundary_edges;
+  std::vector<mesh::Edge> boundary_edges;  // sorted, for place_labels
   {
     FEIO_TRACE_SPAN(span, "ospl.boundary");
     const mesh::Topology topo(c.mesh);
-    boundary_edges.insert(topo.boundary_edges().begin(),
+    boundary_edges.assign(topo.boundary_edges().begin(),
                           topo.boundary_edges().end());
-    for (const mesh::Edge& e : topo.boundary_edges()) {
+    for (const mesh::Edge& e : boundary_edges) {
       ContourSegment seg;
       seg.a = c.mesh.pos(e.a);
       seg.b = c.mesh.pos(e.b);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "mesh/topology.h"
 #include "plot/mesh_plot.h"

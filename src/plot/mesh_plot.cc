@@ -1,7 +1,7 @@
 #include "plot/mesh_plot.h"
 
-#include <set>
 #include <string>
+#include <vector>
 
 #include "mesh/topology.h"
 
@@ -9,17 +9,15 @@ namespace feio::plot {
 
 void draw_mesh(const mesh::TriMesh& mesh, PlotFile& out,
                const MeshPlotOptions& opts) {
+  // Each edge once, at its first use in element order.
   const mesh::Topology topo(mesh);
-  std::set<mesh::Edge> boundary(topo.boundary_edges().begin(),
-                                topo.boundary_edges().end());
-
-  std::set<mesh::Edge> drawn;
-  for (const mesh::Element& el : mesh.elements()) {
-    for (int k = 0; k < 3; ++k) {
-      const mesh::Edge e(el.n[static_cast<size_t>(k)],
-                         el.n[static_cast<size_t>((k + 1) % 3)]);
-      if (!drawn.insert(e).second) continue;
-      const bool is_boundary = opts.draw_boundary && boundary.count(e) > 0;
+  std::vector<char> drawn(static_cast<size_t>(topo.num_edges()), 0);
+  for (int el = 0; el < mesh.num_elements(); ++el) {
+    for (int id : topo.element_edges(el)) {
+      if (drawn[static_cast<size_t>(id)]) continue;
+      drawn[static_cast<size_t>(id)] = 1;
+      const mesh::Edge e = topo.edges()[static_cast<size_t>(id)];
+      const bool is_boundary = opts.draw_boundary && topo.is_boundary(id);
       out.line(mesh.pos(e.a), mesh.pos(e.b),
                is_boundary ? Pen::kBoundary : Pen::kMesh);
     }

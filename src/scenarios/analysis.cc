@@ -1,7 +1,6 @@
 // The full IDLZ -> FEM -> nodal-field chains behind Figures 13-18.
 #include <cmath>
 #include <functional>
-#include <set>
 
 #include "fem/contact.h"
 #include "fem/solver.h"
@@ -31,11 +30,11 @@ void external_pressure(fem::StaticProblem& prob, const mesh::TriMesh& mesh,
                        const std::function<bool(Vec2)>& on_surface) {
   const mesh::Topology topo(mesh);
   int applied = 0;
-  for (const mesh::Edge& e : topo.boundary_edges()) {
+  for (int id = 0; id < topo.num_edges(); ++id) {
+    if (!topo.is_boundary(id)) continue;
+    const mesh::Edge e = topo.edges()[static_cast<size_t>(id)];
     if (!on_surface(mesh.pos(e.a)) || !on_surface(mesh.pos(e.b))) continue;
-    const std::vector<int> elems = topo.edge_elements(e);
-    FEIO_ASSERT(elems.size() == 1);
-    const mesh::Element& el = mesh.element(elems[0]);
+    const mesh::Element& el = mesh.element(topo.edge_elements(id)[0]);
     // Find the directed order of the edge within the element.
     int a = e.a;
     int b = e.b;

@@ -117,16 +117,26 @@ TEST(RenumberTest, DisconnectedComponentsHandled) {
   EXPECT_NO_THROW(renumber(sh));
 }
 
+// Compressed rows of a graph given as per-node neighbour lists.
+mesh::Csr csr(const std::vector<std::vector<int>>& lists) {
+  mesh::Csr out;
+  for (const std::vector<int>& row : lists) {
+    out.items.insert(out.items.end(), row.begin(), row.end());
+    out.offsets.push_back(static_cast<int>(out.items.size()));
+  }
+  return out;
+}
+
 TEST(PseudoPeripheralTest, PicksStripEnd) {
   // In a path graph the pseudo-peripheral node is an end.
   std::vector<std::vector<int>> adj{{1}, {0, 2}, {1, 3}, {2, 4}, {3}};
-  const int p = pseudo_peripheral_node(adj, 2);
+  const int p = pseudo_peripheral_node(csr(adj), 2);
   EXPECT_TRUE(p == 0 || p == 4);
 }
 
 TEST(PseudoPeripheralTest, IsolatedNode) {
   std::vector<std::vector<int>> adj{{}};
-  EXPECT_EQ(pseudo_peripheral_node(adj, 0), 0);
+  EXPECT_EQ(pseudo_peripheral_node(csr(adj), 0), 0);
 }
 
 TEST(PseudoPeripheralTest, PrefersLowDegreeNodeOfDeepestLevel) {
@@ -136,7 +146,7 @@ TEST(PseudoPeripheralTest, PrefersLowDegreeNodeOfDeepestLevel) {
   // the minimum-degree member is the true periphery, node 5 (degree 1).
   const std::vector<std::vector<int>> adj{
       {1}, {0, 2, 3}, {1, 3, 4}, {1, 2, 4, 5}, {2, 3}, {3}};
-  EXPECT_EQ(pseudo_peripheral_node(adj, 0), 5);
+  EXPECT_EQ(pseudo_peripheral_node(csr(adj), 0), 5);
 }
 
 // Every node appears exactly once in a permutation (new_index =
@@ -242,6 +252,42 @@ TEST(RenumberTest, PipelineNonumbEquivalent) {
             plain.renumbering.bandwidth_after);
   EXPECT_EQ(plain.mesh.num_nodes(), renum.mesh.num_nodes());
   EXPECT_EQ(plain.mesh.num_elements(), renum.mesh.num_elements());
+}
+
+TEST(RenumberTest, PermutationScoresMatchRenumberedCopy) {
+  // Property test: scoring a permutation without copying the mesh gives
+  // mesh::bandwidth and mesh::profile of the renumbered copy, for the CM,
+  // RCM and random permutations of shuffled meshes.
+  for (unsigned seed : {1u, 5u, 9u, 13u, 21u}) {
+    const std::vector<mesh::TriMesh> meshes = {
+        shuffled(grid_mesh(7, 4), seed), shuffled(grid_mesh(3, 9), seed),
+        three_components(seed)};
+    for (const mesh::TriMesh& m : meshes) {
+      std::vector<int> random(static_cast<size_t>(m.num_nodes()));
+      std::iota(random.begin(), random.end(), 0);
+      std::mt19937 rng(seed + 100);
+      std::shuffle(random.begin(), random.end(), rng);
+      for (const std::vector<int>& perm :
+           {cuthill_mckee_permutation(m, false),
+            cuthill_mckee_permutation(m, true), random}) {
+        mesh::TriMesh copy = m;
+        copy.renumber_nodes(perm);
+        EXPECT_EQ(mesh::bandwidth(m, perm), mesh::bandwidth(copy))
+            << "seed=" << seed;
+        EXPECT_EQ(mesh::profile(m, perm), mesh::profile(copy))
+            << "seed=" << seed;
+      }
+    }
+    // renumber()'s report describes the mesh it leaves behind.
+    for (NumberingScheme scheme :
+         {NumberingScheme::kCuthillMcKee,
+          NumberingScheme::kReverseCuthillMcKee, NumberingScheme::kBest}) {
+      mesh::TriMesh m = shuffled(grid_mesh(9, 5), seed);
+      const RenumberReport rep = renumber(m, scheme);
+      EXPECT_EQ(rep.bandwidth_after, mesh::bandwidth(m)) << "seed=" << seed;
+      EXPECT_EQ(rep.profile_after, mesh::profile(m)) << "seed=" << seed;
+    }
+  }
 }
 
 // The renumbering claim across the gallery: NONUMB=1 never increases the

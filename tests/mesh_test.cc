@@ -1,5 +1,7 @@
 #include <algorithm>
 #include <numbers>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -116,18 +118,20 @@ TEST(TriMeshTest, Bounds) {
 
 // ---- Topology -----------------------------------------------------------
 
+std::vector<int> vec(std::span<const int> s) { return {s.begin(), s.end()}; }
+
 TEST(TopologyTest, NeighborsOfSquare) {
   const TriMesh m = square_mesh();
   const Topology t(m);
-  EXPECT_EQ(t.neighbors(0), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(t.neighbors(1), (std::vector<int>{0, 2}));
+  EXPECT_EQ(vec(t.neighbors(0)), (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(vec(t.neighbors(1)), (std::vector<int>{0, 2}));
 }
 
 TEST(TopologyTest, ElementsOfNode) {
   const TriMesh m = square_mesh();
   const Topology t(m);
-  EXPECT_EQ(t.elements_of(0), (std::vector<int>{0, 1}));
-  EXPECT_EQ(t.elements_of(1), (std::vector<int>{0}));
+  EXPECT_EQ(vec(t.elements_of(0)), (std::vector<int>{0, 1}));
+  EXPECT_EQ(vec(t.elements_of(1)), (std::vector<int>{0}));
 }
 
 TEST(TopologyTest, EdgeElements) {

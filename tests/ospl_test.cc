@@ -337,7 +337,7 @@ TEST(LabelTest, PlacedAtBoundaryIntersections) {
   s.level = 10.0;
   s.edge_a = mesh::Edge(0, 1);
   s.edge_b = mesh::Edge(2, 3);
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
+  const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
   const LabelResult r =
       place_labels({s}, boundary, {{0, 0}, {10, 10}});
   ASSERT_EQ(r.accepted.size(), 1u);
@@ -355,7 +355,7 @@ TEST(LabelTest, OverlapSuppressed) {
     s.edge_a = mesh::Edge(0, 1);
     segs.push_back(s);
   }
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
+  const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
   const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
   EXPECT_EQ(r.accepted.size(), 1u);
   EXPECT_EQ(r.suppressed, 2);
@@ -371,7 +371,7 @@ TEST(LabelTest, ZeroContoursAlwaysLabeled) {
     s.edge_a = mesh::Edge(0, 1);
     segs.push_back(s);
   }
-  const std::set<mesh::Edge> boundary{mesh::Edge(0, 1)};
+  const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
   const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
   ASSERT_EQ(r.accepted.size(), 2u);  // zero accepted despite overlap
   EXPECT_EQ(r.accepted[1].text, "0.");

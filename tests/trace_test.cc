@@ -164,6 +164,8 @@ TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
   opts.threads = 8;
   opts.tracer = &tracer;
   idlz_fingerprint(big_case(), opts);
+  // IDLZ runs serially; OSPL's contour stage supplies the worker spans.
+  ospl_fingerprint(ospl_case(), opts);
   const std::string json = tracer.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   check_balanced(json);
