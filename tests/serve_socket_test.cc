@@ -252,6 +252,49 @@ TEST(ServeSocketTest, ConcurrentConnectionsKeepTheirOwnOrder) {
   }
 }
 
+TEST(ServeSocketTest, LateTenantGetsZeroShareInEarlierWindows) {
+  // Rolling windows are cut as they fill, so the first window here closes
+  // before tenant "late" exists. The summary must still list every session
+  // tenant in every window, "late" with a 0 share in the first.
+  serve::ServeOptions opts;
+  opts.threads = 1;
+  opts.window_jobs = 2;
+  serve::ListenOptions listen;
+  listen.address = "127.0.0.1:0";
+  listen.max_connections = 1;
+  std::promise<std::string> bound_promise;
+  std::future<std::string> bound_future = bound_promise.get_future();
+  listen.on_bound = [&bound_promise](const std::string& bound) {
+    bound_promise.set_value(bound);
+  };
+  serve::ServeSummary s;
+  std::thread server([&] { s = serve::serve_listen(listen, opts); });
+  const auto job = [](const std::string& id, const std::string& tenant) {
+    return "{\"id\": \"" + id + "\", \"tenant\": \"" + tenant +
+           "\", \"pipeline\": \"idlz\", \"deck\": \"" +
+           json_escape_deck(small_idlz_deck()) + "\"}\n";
+  };
+  const int fd = connect_to(bound_future.get());
+  send_text(fd, job("e0", "early") + job("e1", "early"));
+  // Both replies back means the first window has closed.
+  int replies = 0;
+  char c = 0;
+  while (replies < 2 && ::recv(fd, &c, 1, 0) == 1) replies += c == '\n';
+  ASSERT_EQ(replies, 2);
+  send_text(fd, job("l0", "late"));
+  ::shutdown(fd, SHUT_WR);
+  recv_all(fd);
+  ::close(fd);
+  server.join();
+
+  using Shares = std::vector<std::pair<std::string, double>>;
+  ASSERT_EQ(s.windows.size(), 2u);
+  EXPECT_EQ(s.windows[0].tenant_shares,
+            (Shares{{"early", 1.0}, {"late", 0.0}}));
+  EXPECT_EQ(s.windows[1].tenant_shares,
+            (Shares{{"early", 0.0}, {"late", 1.0}}));
+}
+
 TEST(ServeSocketTest, UnixDomainSocketServes) {
   const std::string path =
       ::testing::TempDir() + "feio_serve_test.sock";
