@@ -26,7 +26,6 @@
 #include "idlz/idlz.h"        // IWYU pragma: export
 #include "idlz/listing.h"     // IWYU pragma: export
 #include "idlz/punch.h"       // IWYU pragma: export
-#include "idlz/smooth.h"      // IWYU pragma: export
 #include "lint/lint.h"        // IWYU pragma: export
 #include "lint/rule.h"        // IWYU pragma: export
 #include "lint/sarif.h"       // IWYU pragma: export

@@ -1,4 +1,5 @@
-// Idealization builders for the paper's figures (geometry only).
+// Idealization builders for the paper's figures (geometry only), and
+// Figure 12's concept triangle.
 #include <cmath>
 #include <numbers>
 
@@ -395,6 +396,18 @@ IdlzCase kirsch_plate() {
       {2, {line(6, 1, 6, 7, {edge, 0.0}, {edge, edge}),
            line(6, 7, 6, 13, {edge, edge}, {0.0, edge})}},
   };
+  return c;
+}
+
+ospl::OsplCase fig12_concept() {
+  ospl::OsplCase c;
+  c.mesh.add_node({0.0, 0.0}, mesh::BoundaryKind::kBoundarySingle);
+  c.mesh.add_node({10.0, 0.0}, mesh::BoundaryKind::kBoundarySingle);
+  c.mesh.add_node({4.0, 8.0}, mesh::BoundaryKind::kBoundarySingle);
+  c.mesh.add_element(0, 1, 2);
+  c.values = {5.0, 15.0, 32.0};
+  c.title1 = "TYPICAL OUTPUT VALUES AND RESULTING PLOT";
+  c.delta = 10.0;
   return c;
 }
 

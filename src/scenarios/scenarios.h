@@ -14,6 +14,7 @@
 
 #include "fem/material.h"
 #include "idlz/idlz.h"
+#include "ospl/ospl.h"
 
 namespace feio::scenarios {
 
@@ -60,6 +61,12 @@ struct NamedCase {
 };
 // Every idealization figure, for sweep-style tests and benches.
 std::vector<NamedCase> all_idealizations();
+
+// ---- Figure 12: the OSPL concept ----------------------------------------
+
+// One triangle ABC with corner values 5, 15 and 32 at a fixed interval of
+// 10, so isograms 10, 20 and 30 cross it.
+ospl::OsplCase fig12_concept();
 
 // ---- Helpers ------------------------------------------------------------
 

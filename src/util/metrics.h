@@ -75,7 +75,7 @@ class MetricsRegistry {
   std::string render_report_json() const;
 
   // Only the kind-specific fields ("counters"/"histograms"), for embedding
-  // in another report (BENCH_pipeline.json carries one per run). `indent`
+  // in another report (BENCH_solver.json carries one per run). `indent`
   // spaces prefix each line.
   std::string render_body_json(int indent) const;
 

@@ -1,6 +1,6 @@
 // The feio.report/1 envelope: one versioned top-level shape shared by every
 // machine-readable document feio emits (--diag-json, `feio check --json`,
-// `feio lint --json`, BENCH_pipeline.json, --metrics-json).
+// `feio lint --json`, BENCH_solver.json, BENCH_serve.json, --metrics-json).
 //
 // Every document is a JSON object whose first four members are
 //   "schema":       "feio.report/1"

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "idlz/assembler.h"
+#include "idlz/idlz.h"
 #include "mesh/topology.h"
 #include "mesh/validate.h"
 #include "util/error.h"
@@ -137,6 +138,31 @@ TEST(LimitsTest, RejectsTooManyElements) {
   std::vector<Subdivision> subs{make(1, 1, 1, 16, 16), make(2, 1, 16, 16, 31)};
   // nodes: 256 + 256 - 16 = 496 <= 500; elements: 2*15*15*2 = 900 > 850.
   EXPECT_THROW(assemble(subs), Error);
+}
+
+// Table 2's capacity run: two stacked subdivisions idealize right under
+// the paper's limits (50 subdivisions, 850 elements, 500 nodes, 40 x 60).
+TEST(LimitsTest, Table2CapacityCaseRunsAtPaperLimits) {
+  const Limits paper;
+  EXPECT_EQ(paper.max_subdivisions, 50);
+  EXPECT_EQ(paper.max_elements, 850);
+  EXPECT_EQ(paper.max_nodes, 500);
+  EXPECT_EQ(paper.max_k, 40);
+  EXPECT_EQ(paper.max_l, 60);
+
+  IdlzCase c;
+  c.subdivisions = {make(1, 1, 1, 16, 16), make(2, 1, 16, 16, 29)};
+  ShapingSpec a;
+  a.subdivision_id = 1;
+  a.lines = {{1, 1, 16, 1, {0.0, 0.0}, {15.0, 0.0}, 0.0},
+             {1, 16, 16, 16, {0.0, 15.0}, {15.0, 15.0}, 0.0}};
+  ShapingSpec b;
+  b.subdivision_id = 2;
+  b.lines = {{1, 29, 16, 29, {0.0, 28.0}, {15.0, 28.0}, 0.0}};
+  c.shaping = {a, b};
+  const IdlzResult r = run(c);
+  EXPECT_EQ(r.mesh.num_nodes(), 464);
+  EXPECT_EQ(r.mesh.num_elements(), 840);
 }
 
 TEST(LimitsTest, EmptyInputRejected) {

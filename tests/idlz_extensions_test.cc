@@ -1,11 +1,10 @@
-// Tests for the listing output and the smoothing extension.
+// Tests for the printed listing.
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "idlz/idlz.h"
 #include "idlz/listing.h"
-#include "idlz/smooth.h"
-#include "mesh/quality.h"
-#include "mesh/validate.h"
 #include "scenarios/scenarios.h"
 
 namespace feio::idlz {
@@ -45,87 +44,6 @@ TEST(ListingTest, SubdivisionIndexCountsMatch) {
   const std::string listing = print_listing(r);
   EXPECT_NE(listing.find("SUBDIVISION INDEX"), std::string::npos);
   EXPECT_NE(listing.find("SUBDIVISION 5"), std::string::npos);
-}
-
-TEST(SmoothTest, ImprovesDistortedInterior) {
-  // A square with its interior node dragged near a corner.
-  mesh::TriMesh m;
-  m.add_node({0, 0});
-  m.add_node({4, 0});
-  m.add_node({4, 4});
-  m.add_node({0, 4});
-  const int mid = m.add_node({0.4, 0.4});
-  for (int k = 0; k < 4; ++k) m.add_element(k, (k + 1) % 4, mid);
-  m.orient_ccw();
-  const double before = mesh::summarize_quality(m).min_angle_rad;
-  const SmoothReport rep = smooth_interior(m);
-  EXPECT_GT(rep.moves, 0);
-  EXPECT_TRUE(rep.converged);
-  EXPECT_GT(mesh::summarize_quality(m).min_angle_rad, before);
-  // The interior node relaxed to the centre.
-  EXPECT_NEAR(m.pos(mid).x, 2.0, 0.05);
-  EXPECT_NEAR(m.pos(mid).y, 2.0, 0.05);
-  EXPECT_TRUE(mesh::validate(m).ok());
-}
-
-TEST(SmoothTest, BoundaryNodesNeverMove) {
-  const IdlzResult r = run(scenarios::fig09_dsrv_hatch());
-  mesh::TriMesh m = r.mesh;
-  smooth_interior(m);
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    if (r.mesh.node(n).boundary != mesh::BoundaryKind::kInterior) {
-      EXPECT_EQ(m.pos(n), r.mesh.pos(n));
-    }
-  }
-}
-
-TEST(SmoothTest, NeverWorsensWorstAngle) {
-  for (const auto& nc : scenarios::all_idealizations()) {
-    const IdlzResult r = run(nc.c);
-    mesh::TriMesh m = r.mesh;
-    const double before = mesh::summarize_quality(m).min_angle_rad;
-    smooth_interior(m);
-    EXPECT_GE(mesh::summarize_quality(m).min_angle_rad, before - 1e-12)
-        << nc.id;
-    EXPECT_TRUE(mesh::validate(m).ok()) << nc.id;
-  }
-}
-
-TEST(SmoothTest, NeverWorsensMeanAngle) {
-  // Regression: a guard on the local worst angle alone lets moves degrade
-  // the other incident elements (caught on Figure 10's fan).
-  for (const auto& nc : scenarios::all_idealizations()) {
-    const IdlzResult r = run(nc.c);
-    mesh::TriMesh m = r.mesh;
-    const double before = mesh::summarize_quality(m).mean_min_angle_rad;
-    smooth_interior(m);
-    EXPECT_GE(mesh::summarize_quality(m).mean_min_angle_rad, before - 1e-9)
-        << nc.id;
-  }
-}
-
-TEST(SmoothTest, ConnectivityUnchanged) {
-  const IdlzResult r = run(scenarios::fig06_viewport_juncture());
-  mesh::TriMesh m = r.mesh;
-  smooth_interior(m);
-  ASSERT_EQ(m.num_elements(), r.mesh.num_elements());
-  for (int e = 0; e < m.num_elements(); ++e) {
-    EXPECT_EQ(m.element(e).n, r.mesh.element(e).n);
-  }
-}
-
-TEST(SmoothTest, EmptyAndTinyMeshes) {
-  mesh::TriMesh empty;
-  EXPECT_TRUE(smooth_interior(empty).converged);
-
-  mesh::TriMesh tri;
-  tri.add_node({0, 0});
-  tri.add_node({1, 0});
-  tri.add_node({0, 1});
-  tri.add_element(0, 1, 2);
-  const SmoothReport rep = smooth_interior(tri);  // no interior nodes
-  EXPECT_EQ(rep.moves, 0);
-  EXPECT_TRUE(rep.converged);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <numbers>
+
 #include <gtest/gtest.h>
 
 #include "idlz/idlz.h"
@@ -10,6 +12,8 @@ namespace feio::idlz {
 namespace {
 
 using geom::Vec2;
+
+constexpr double kDegPerRad = 180.0 / std::numbers::pi;
 
 // Quad with a bad diagonal: (0,0),(4,0),(4,1),(0,1) split through the long
 // diagonal gives skinny triangles; the flip shortens it.
@@ -122,19 +126,40 @@ TEST(ReformTest, Figure10NeedlesImprove) {
   // The apex corner's own angle is fixed by the boundary, so the worst
   // single element may not move; the population of needles does.
   EXPECT_GT(qa.mean_min_angle_rad, qb.mean_min_angle_rad);
-  EXPECT_LE(qa.needle_count, qb.needle_count);
+  // Ablation A2. The paper shows the needle corners removed, no count.
+  EXPECT_EQ(qb.needle_count, 14);
+  EXPECT_EQ(qa.needle_count, 6);
+  EXPECT_NEAR(qb.mean_min_angle_rad * kDegPerRad, 11.6, 0.05);
+  EXPECT_NEAR(qa.mean_min_angle_rad * kDegPerRad, 28.2, 0.05);
   EXPECT_GE(qa.min_angle_rad, qb.min_angle_rad - 1e-12);
   EXPECT_EQ(before.mesh.num_elements(), after.mesh.num_elements());
   EXPECT_TRUE(mesh::validate(after.mesh).ok());
 }
 
 TEST(ReformTest, Figure9HatchReformKeepsMeshValid) {
-  const IdlzResult r = run(scenarios::fig09_dsrv_hatch());
+  IdlzCase c = scenarios::fig09_dsrv_hatch();
+  const IdlzResult r = run(c);
   EXPECT_TRUE(r.reform.converged);
   EXPECT_TRUE(mesh::validate(r.mesh).ok());
-  // Reform only ever improves the worst angle.
+  // Reform only ever improves the worst angle: 11.3 -> 14.3 degrees over
+  // 43 flips here.
   EXPECT_GE(mesh::summarize_quality(r.mesh).min_angle_rad,
             mesh::summarize_quality(r.before_reform).min_angle_rad);
+  EXPECT_EQ(r.reform.flips, 43);
+  EXPECT_NEAR(mesh::summarize_quality(r.before_reform).min_angle_rad *
+                  kDegPerRad,
+              11.3, 0.05);
+  EXPECT_NEAR(mesh::summarize_quality(r.mesh).min_angle_rad * kDegPerRad,
+              14.3, 0.05);
+  // Ablation A2: needles with reform off, then on. The paper shows the
+  // hatch before and after reform and gives no count.
+  c.options.reform_elements = false;
+  EXPECT_EQ(mesh::summarize_quality(run(c).mesh).needle_count, 30);
+  EXPECT_EQ(mesh::summarize_quality(r.mesh).needle_count, 7);
+  // Alternating diagonals at element creation halve the needles reform
+  // has to repair.
+  c.options.diagonals = DiagonalStyle::kAlternating;
+  EXPECT_EQ(mesh::summarize_quality(run(c).mesh).needle_count, 16);
 }
 
 // Reform across the whole idealization gallery: never loses elements,

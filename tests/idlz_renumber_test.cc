@@ -1,9 +1,12 @@
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <random>
 
 #include <gtest/gtest.h>
 
+#include "fem/assembly.h"
+#include "fem/skyline.h"
 #include "idlz/idlz.h"
 #include "idlz/renumber.h"
 #include "mesh/bandwidth.h"
@@ -287,6 +290,44 @@ TEST(RenumberTest, PermutationScoresMatchRenumberedCopy) {
       EXPECT_EQ(rep.bandwidth_after, mesh::bandwidth(m)) << "seed=" << seed;
       EXPECT_EQ(rep.profile_after, mesh::profile(m)) << "seed=" << seed;
     }
+  }
+}
+
+// Claim C6: the paper offers renumbering because solver cost tracks the
+// numbering, and gives no numbers. Figure 15's stiffened cylinder is the
+// worst case for assembly order: its ring stiffeners are numbered after
+// the whole shell. The LDL^T work is the sum of squared dof column heights.
+TEST(RenumberTest, Figure15CylinderEnvelopePerOrdering) {
+  struct Row {
+    bool renumber;
+    NumberingScheme scheme;
+    int bandwidth;
+    long profile;
+    std::size_t envelope;
+    std::int64_t work;
+  };
+  const Row rows[] = {
+      {false, NumberingScheme::kBest, 87, 1232, 4814, 421938},  // assembly
+      {true, NumberingScheme::kCuthillMcKee, 8, 666, 2550, 31146},
+      {true, NumberingScheme::kReverseCuthillMcKee, 8, 618, 2358, 27882},
+  };
+  for (const Row& row : rows) {
+    IdlzCase c = scenarios::fig15_cylinder_closure(true);
+    c.options.renumber_nodes = row.renumber;
+    c.options.scheme = row.scheme;
+    const IdlzResult r = run(c);
+    const std::vector<int> lows =
+        fem::StaticProblem(r.mesh, fem::Analysis::kAxisymmetric)
+            .dof_skyline_lows();
+    std::int64_t work = 0;
+    for (std::size_t i = 0; i < lows.size(); ++i) {
+      const std::int64_t h = static_cast<std::int64_t>(i) - lows[i] + 1;
+      work += h * h;
+    }
+    EXPECT_EQ(mesh::bandwidth(r.mesh), row.bandwidth);
+    EXPECT_EQ(mesh::profile(r.mesh), row.profile);
+    EXPECT_EQ(fem::SkylineMatrix(lows).storage(), row.envelope);
+    EXPECT_EQ(work, row.work);
   }
 }
 

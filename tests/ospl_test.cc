@@ -11,6 +11,7 @@
 #include "ospl/interval.h"
 #include "ospl/labels.h"
 #include "ospl/ospl.h"
+#include "scenarios/scenarios.h"
 #include "util/error.h"
 
 namespace feio::ospl {
@@ -120,20 +121,21 @@ TEST(IntervalTest, NegativeOffsetKeepsLastLevel) {
 // 10 puts lines 10, 20, 30 through it.
 class Figure12Test : public ::testing::Test {
  protected:
-  Figure12Test() {
-    mesh_.add_node({0, 0}, mesh::BoundaryKind::kBoundarySingle);
-    mesh_.add_node({10, 0}, mesh::BoundaryKind::kBoundarySingle);
-    mesh_.add_node({4, 8}, mesh::BoundaryKind::kBoundarySingle);
-    mesh_.add_element(0, 1, 2);
-  }
-  mesh::TriMesh mesh_;
-  std::vector<double> values_{5.0, 15.0, 32.0};
+  const OsplCase concept_ = scenarios::fig12_concept();
+  const mesh::TriMesh& mesh_ = concept_.mesh;
+  const std::vector<double>& values_ = concept_.values;
 };
 
 TEST_F(Figure12Test, ThreeContoursPass) {
   const auto segs =
       extract_contours(mesh_, values_, {10.0, 20.0, 30.0});
   EXPECT_EQ(segs.size(), 3u);
+}
+
+TEST_F(Figure12Test, ConceptCaseDrawsTenTwentyThirty) {
+  const OsplResult r = run(concept_);
+  EXPECT_EQ(r.levels, (std::vector<double>{10.0, 20.0, 30.0}));  // paper
+  EXPECT_EQ(r.segments.size(), 3u);  // one straight line per level
 }
 
 TEST_F(Figure12Test, LevelOutsideRangeSkipped) {
@@ -508,6 +510,35 @@ TEST(OsplRunTest, Table1Restrictions) {
   EXPECT_THROW(run(c), Error);
   c.limits = OsplLimits::unlimited();
   EXPECT_NO_THROW(run(c));
+}
+
+// Table 1's capacity run: a 24 x 20 grid plots right under the paper's
+// limits (1000 elements, 800 nodes).
+TEST(OsplRunTest, Table1CapacityCaseRunsAtPaperLimits) {
+  const OsplLimits paper;
+  EXPECT_EQ(paper.max_elements, 1000);
+  EXPECT_EQ(paper.max_nodes, 800);
+
+  OsplCase c;
+  const int nx = 24;
+  const int ny = 20;
+  for (int j = 0; j <= ny; ++j) {
+    for (int i = 0; i <= nx; ++i) {
+      c.mesh.add_node({static_cast<double>(i), static_cast<double>(j)});
+      c.values.push_back(i * j * 0.37 + i);
+    }
+  }
+  auto id = [nx](int i, int j) { return j * (nx + 1) + i; };
+  for (int j = 0; j < ny; ++j) {
+    for (int i = 0; i < nx; ++i) {
+      c.mesh.add_element(id(i, j), id(i + 1, j), id(i + 1, j + 1));
+      c.mesh.add_element(id(i, j), id(i + 1, j + 1), id(i, j + 1));
+    }
+  }
+  c.mesh.classify_boundary();
+  EXPECT_EQ(c.mesh.num_nodes(), 525);
+  EXPECT_EQ(c.mesh.num_elements(), 960);
+  EXPECT_FALSE(run(c).segments.empty());
 }
 
 TEST(OsplRunTest, ValueCountMismatchThrows) {

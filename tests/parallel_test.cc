@@ -22,6 +22,7 @@
 #include "ospl/contour.h"
 #include "ospl/interval.h"
 #include "scenarios/pipeline_bench.h"
+#include "scenarios/solver_bench.h"
 #include "util/diag.h"
 
 using namespace feio;
@@ -390,19 +391,19 @@ TEST(ParallelDeterminismTest, DeckBatchIdenticalSerialVsThreaded) {
 }
 
 TEST(ParallelDeterminismTest, QuickBenchReportIsIdenticalAndValidJson) {
-  const scenarios::PipelineBenchReport report =
-      scenarios::run_pipeline_bench(/*threads=*/2, /*quick=*/true);
-  ASSERT_EQ(report.cases.size(), 4u);  // three stages + the deck batch
+  const scenarios::SolverBenchReport report =
+      scenarios::run_solver_bench(/*threads=*/2, /*quick=*/true);
+  ASSERT_FALSE(report.cases.empty());
   EXPECT_TRUE(report.all_identical());
   const std::string json = report.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   EXPECT_NE(json.find("\"schema\": \"feio.report/1\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"payload_schema\": \"feio.bench.pipeline/1\""),
+  EXPECT_NE(json.find("\"payload_schema\": \"feio.bench.solver/3\""),
             std::string::npos);
-  // The embedded metrics snapshot from the metered batch pass.
+  // The embedded metrics snapshot from the metered solve.
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
-  EXPECT_NE(json.find("\"idlz.cases_run\""), std::string::npos);
+  EXPECT_NE(json.find("\"fem.static_solves\""), std::string::npos);
 }
 
 }  // namespace

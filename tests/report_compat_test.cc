@@ -10,7 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "json_check.h"
-#include "scenarios/pipeline_bench.h"
+#include "scenarios/solver_bench.h"
 #include "util/diag.h"
 #include "util/metrics.h"
 #include "util/report.h"
@@ -85,7 +85,7 @@ TEST(ReportCompatTest, EnvelopedRenderersClassifyWithoutLegacyFlag) {
     EXPECT_EQ(info.kind, kind);
     EXPECT_FALSE(info.legacy);
   }
-  scenarios::PipelineBenchReport report;
+  scenarios::SolverBenchReport report;
   const ReportInfo bench = classify_report(report.render_json());
   EXPECT_EQ(bench.schema, kReportSchema);
   EXPECT_EQ(bench.kind, "bench");

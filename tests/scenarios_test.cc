@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -199,18 +200,18 @@ TEST(AnalysisTest, Fig13ContactSeatPartiallyBears) {
       total += r;
     }
   }
-  // Some rim nodes bear, some lift off — the "modified for contact" point.
-  EXPECT_GT(bearing, 2);
-  EXPECT_LT(bearing, 12);
-  EXPECT_GT(total, 0.0);
+  // Some rim nodes bear, some lift off — the "modified for contact" point:
+  // 8 of the 12 seat nodes carry about 3.5e5 in total.
+  EXPECT_EQ(bearing, 8);
+  EXPECT_NEAR(total, 3.5e5, 0.05e5);
   // The stress field stays in the same regime as the bilateral fig13.
   const AnalysisOutput fixed = fig13_analysis();
   const double peak_contact = *std::max_element(
       out.fields[0].values.begin(), out.fields[0].values.end());
   const double peak_fixed = *std::max_element(
       fixed.fields[0].values.begin(), fixed.fields[0].values.end());
-  EXPECT_GT(peak_contact, 0.3 * peak_fixed);
-  EXPECT_LT(peak_contact, 3.0 * peak_fixed);
+  EXPECT_NEAR(peak_contact, 6.98e3, 5.0);
+  EXPECT_NEAR(peak_fixed, 7.07e3, 5.0);
 }
 
 TEST(AnalysisTest, Fig14ThermalStressFromTemperatures) {
@@ -238,6 +239,7 @@ TEST(AnalysisTest, KirschStressConcentration) {
     }
   }
   EXPECT_NEAR(scf, 3.0, 0.35);
+  EXPECT_NEAR(scf, 2.99, 0.005);  // the value EXPERIMENTS.md quotes
   // The concentration is the global field maximum.
   const double peak = *std::max_element(out.fields[0].values.begin(),
                                         out.fields[0].values.end());
@@ -250,6 +252,61 @@ TEST(AnalysisTest, KirschStressConcentration) {
                   0.25);
     }
   }
+}
+
+// The field ranges EXPERIMENTS.md's figure table quotes, at the precision
+// it quotes them. The paper prints no ranges; its anchors (interval 2500
+// on Figure 13, labels 30..110 on Figure 14, interval 0.10 on Figure 17)
+// are compared in that table.
+TEST(AnalysisTest, FieldRangesMatchExperimentsTable) {
+  struct Row {
+    AnalysisOutput (*chain)();
+    size_t field;
+    double lo, hi, tol;
+  };
+  const Row rows[] = {
+      {fig13_analysis, 0, 579.0, 7066.0, 0.5},
+      {fig14_analysis, 0, 70.0, 170.0, 0.5},
+      {fig14_analysis, 1, 70.0, 168.0, 0.5},
+      {fig14_thermal_stress_analysis, 0, 8.0, 723.0, 0.5},
+      {fig15_analysis, 0, -7770.0, -777.0, 0.5},
+      {fig16_analysis, 1, -10838.0, -4824.0, 0.5},
+      {fig17_analysis, 1, -1.85, -0.05, 0.005},
+      {fig18_analysis, 0, -11300.0, 3200.0, 50.0},
+  };
+  for (const Row& row : rows) {
+    const AnalysisOutput out = row.chain();
+    const FieldOutput& f = out.fields[row.field];
+    const auto [lo, hi] = std::minmax_element(f.values.begin(), f.values.end());
+    EXPECT_NEAR(*lo, row.lo, row.tol) << out.id << " " << f.name;
+    EXPECT_NEAR(*hi, row.hi, row.tol) << out.id << " " << f.name;
+  }
+  // Figure 17 at unit pressure: the automatic interval of the radial
+  // field is the paper's 0.10; the meridional field gets 0.25.
+  const AnalysisOutput joint = fig17_analysis();
+  const std::pair<size_t, double> intervals[] = {{1, 0.10}, {0, 0.25}};
+  for (const auto& [field, delta] : intervals) {
+    const std::vector<double>& v = joint.fields[field].values;
+    const auto [lo, hi] = std::minmax_element(v.begin(), v.end());
+    EXPECT_DOUBLE_EQ(ospl::auto_interval(*lo, *hi), delta);
+  }
+}
+
+// Ablation A3: the automatic interval against fixed ones on Figure 13's
+// effective stress. The paper's plot reads "CONTOUR INTERVAL IS 2500" at
+// its design load; the same Appendix D rule picks 500 at our 1000 psi.
+TEST(AnalysisTest, Fig13AutomaticIntervalAgainstFixedOnes) {
+  const AnalysisOutput out = fig13_analysis();
+  ospl::OsplCase c;
+  c.mesh = out.idlz.mesh;
+  c.values = out.fields[0].values;
+  const ospl::OsplResult automatic = ospl::run(c);
+  EXPECT_EQ(automatic.delta, 500.0);  // paper: 2500 at its load
+  EXPECT_EQ(automatic.levels.size(), 13u);  // paper: at most 20
+  c.delta = 100.0;
+  EXPECT_EQ(ospl::run(c).levels.size(), 65u);
+  c.delta = 2500.0;
+  EXPECT_EQ(ospl::run(c).levels.size(), 2u);
 }
 
 TEST(AnalysisTest, RenumberingHelpsAnalysisMeshes) {

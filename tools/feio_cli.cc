@@ -12,10 +12,10 @@
 //       static analysis: everything `check` reports plus the L-* lint
 //       rules (FORMAT overflow, overlapping subdivisions, >90-degree arcs,
 //       needle elements, bandwidth advice, contour-interval sanity)
-//   feio bench [--quick] [--threads N] [--out DIR]
-//       time the parallel pipeline stages serial vs N threads and write
-//       the schema-stable BENCH_pipeline.json (see docs/BENCHMARKS.md)
-//   feio figures [--out DIR]          regenerate every paper figure
+//   feio figures [--out DIR]
+//       regenerate every paper figure: each idealization's initial and
+//       final mesh, Figure 12's concept triangle, and every analysis plot
+//       including the contact (fig13c) and thermal-stress (fig14s) chains
 //   feio mesh <deck> --off FILE       idealize and export the mesh as OFF
 //   feio serve (--stdin-jsonl | --listen host:port|unix:path) [--threads N]
 //       long-lived batch loop: one feio.job/1 job per line (stdin, or per
@@ -25,9 +25,9 @@
 //       summary in BENCH_serve.json (docs/ROBUSTNESS.md)
 //   feio help | --help | -h
 //
-// --threads N runs the parallel pipeline stages (contour extraction,
-// assembly, shaping, batch decks) and the FEM hot path (element assembly,
-// blocked envelope factorization) on N threads; `--threads all` uses every
+// --threads N runs the parallel pipeline stages (contour extraction, batch
+// decks) and the FEM hot path (element assembly, blocked envelope
+// factorization) on N threads; `--threads all` uses every
 // hardware thread. Output is byte-identical to a serial run for any N.
 //
 // Observability (docs/OBSERVABILITY.md), accepted by every subcommand:
@@ -41,14 +41,13 @@
 // and fem.solve spans plus fem.* counters to these documents.
 //
 // Machine-readable output (--diag-json, check/lint --json, --metrics-json,
-// BENCH_pipeline.json) shares the feio.report/1 envelope: "schema",
+// serve's BENCH_serve.json) shares the feio.report/1 envelope: "schema",
 // "kind" (diag|lint|bench|metrics), "tool_version", "generated_by",
 // then the kind-specific payload.
 //
 // Exit status: 0 on success, 1 on input/deck errors (diagnostic report on
 // stderr), 2 on usage errors. `feio lint` refines this: 0 when the deck is
-// clean, 1 when it has warnings only, 2 when it has errors. `feio bench`
-// exits 1 when the parallel output diverges from serial.
+// clean, 1 when it has warnings only, 2 when it has errors.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -65,7 +64,6 @@
 #include "feio.h"
 #include "feio/options.h"
 #include "feio/serve.h"
-#include "scenarios/pipeline_bench.h"
 #include "scenarios/scenarios.h"
 #include "util/error.h"
 #include "util/fault.h"
@@ -92,7 +90,6 @@ struct Args : api::CommonOptions {
   bool check_ospl = false;
   bool json = false;
   bool sarif = false;
-  bool quick = false;
 };
 
 // The RunOptions every pipeline call made on behalf of this invocation
@@ -112,7 +109,6 @@ void print_usage(std::FILE* to) {
                "[--diag-json FILE]\n"
                "  feio lint <deck>... [--ospl] [--json | --sarif] "
                "[--diag-json FILE]\n"
-               "  feio bench [--quick] [--threads N] [--out DIR]\n"
                "  feio figures [--out DIR]\n"
                "  feio mesh <deck> --off FILE\n"
                "  feio serve (--stdin-jsonl | --listen ADDR) [--threads N]\n"
@@ -148,8 +144,7 @@ void print_usage(std::FILE* to) {
                "  admission lane with per-tenant guard overrides; jobs pick\n"
                "  a lane with their \"tenant\" field (docs/ROBUSTNESS.md)\n"
                "exit status: 0 success, 1 input/deck error, 2 usage error\n"
-               "  feio lint: 0 clean, 1 warnings only, 2 errors\n"
-               "  feio bench: 1 when parallel output diverges from serial\n");
+               "  feio lint: 0 clean, 1 warnings only, 2 errors\n");
 }
 
 int usage() {
@@ -208,8 +203,6 @@ bool parse(int argc, char** argv, Args& args) {
       args.json = true;
     } else if (a == "--sarif") {
       args.sarif = true;
-    } else if (a == "--quick") {
-      args.quick = true;
     } else if (!a.empty() && a[0] != '-') {
       args.decks.push_back(a);
     } else {
@@ -450,45 +443,27 @@ int run_lint(const Args& args) {
   return lint::exit_code(merged);
 }
 
-int run_bench(const Args& args) {
-  // Without an explicit --threads, bench compares serial against all
-  // hardware threads (a 1-vs-1 comparison would measure nothing).
-  const int threads = args.threads_set ? args.threads : 0;
-  const scenarios::PipelineBenchReport report =
-      scenarios::run_pipeline_bench(threads, args.quick);
-  std::printf("%s", report.render_table().c_str());
-  std::string path = "BENCH_pipeline.json";
-  if (args.out_set) {
-    if (!ensure_out_dir(args.out_dir)) return kExitInput;
-    path = args.out_dir + "/BENCH_pipeline.json";
-  }
-  std::ofstream out(path);
-  if (!out.good()) {
-    std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
-    return kExitInput;
-  }
-  out << report.render_json();
-  std::printf("wrote %s\n", path.c_str());
-  if (!report.all_identical()) {
-    std::fprintf(stderr,
-                 "error: parallel output diverged from serial (see %s)\n",
-                 path.c_str());
-    return kExitInput;
-  }
-  return kExitOk;
-}
-
 int run_figures(const Args& args) {
   if (!ensure_out_dir(args.out_dir)) return kExitInput;
   for (const auto& nc : scenarios::all_idealizations()) {
     const idlz::IdlzResult r = idlz::run(nc.c);
-    plot::write_svg(plot::plot_mesh(r.mesh, nc.c.title),
-                    args.out_dir + "/" + nc.id + "_final.svg");
-    std::printf("%-8s %4d nodes %4d elements -> %s/%s_final.svg\n",
+    const std::string stem = args.out_dir + "/" + nc.id;
+    plot::write_svg(
+        plot::plot_mesh(r.initial, nc.c.title + " - INITIAL REPRESENTATION"),
+        stem + "_initial.svg");
+    plot::write_svg(plot::plot_mesh(r.mesh, nc.c.title), stem + "_final.svg");
+    std::printf("%-8s %4d nodes %4d elements -> %s_{initial,final}.svg\n",
                 nc.id.c_str(), r.mesh.num_nodes(), r.mesh.num_elements(),
-                args.out_dir.c_str(), nc.id.c_str());
+                stem.c_str());
   }
-  for (const auto& a : scenarios::all_analyses()) {
+  plot::write_svg(ospl::run(scenarios::fig12_concept()).plot,
+                  args.out_dir + "/fig12_concept.svg");
+  std::printf("fig12    concept triangle -> %s/fig12_concept.svg\n",
+              args.out_dir.c_str());
+  std::vector<scenarios::AnalysisOutput> analyses = scenarios::all_analyses();
+  analyses.push_back(scenarios::fig13_contact_analysis());
+  analyses.push_back(scenarios::fig14_thermal_stress_analysis());
+  for (const auto& a : analyses) {
     for (const auto& f : a.fields) {
       ospl::OsplCase c;
       c.mesh = a.idlz.mesh;
@@ -606,7 +581,6 @@ int dispatch(const Args& args) {
       if (args.decks.empty()) return usage();
       return run_lint(args);
     }
-    if (args.command == "bench") return run_bench(args);
     if (args.command == "figures") return run_figures(args);
     if (args.command == "mesh") {
       if (args.decks.empty() || args.off_path.empty()) return usage();
