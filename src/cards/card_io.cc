@@ -139,21 +139,23 @@ std::vector<Field> decode(std::string_view card, const Format& format,
   return out;
 }
 
-std::string encode(const std::vector<Field>& values, const Format& format) {
+void encode_append(std::string& out, const std::vector<Field>& values,
+                   const Format& format, std::vector<int>* overflowed) {
   FEIO_REQUIRE(static_cast<int>(values.size()) == format.field_count(),
                "value count does not match FORMAT field count");
-  std::string card;
+  const size_t start = out.size();
   size_t vi = 0;
   for (const EditDescriptor& d : format.descriptors()) {
+    bool fits = true;
     switch (d.kind) {
       case EditKind::kSkip:
-        card.append(static_cast<size_t>(d.width), ' ');
+        out.append(static_cast<size_t>(d.width), ' ');
         break;
       case EditKind::kInt: {
         const Field& f = values[vi++];
         FEIO_REQUIRE(std::holds_alternative<long>(f),
                      "integer FORMAT field needs an integer value");
-        card += write_int_field(std::get<long>(f), d.width);
+        fits = append_int_field(out, std::get<long>(f), d.width);
         break;
       }
       case EditKind::kFixed:
@@ -167,9 +169,9 @@ std::string encode(const std::vector<Field>& values, const Format& format) {
         } else {
           fail("real FORMAT field needs a numeric value");
         }
-        card += d.kind == EditKind::kFixed
-                    ? write_fixed_field(v, d.width, d.decimals)
-                    : write_exp_field(v, d.width, d.decimals,
+        fits = d.kind == EditKind::kFixed
+                   ? append_fixed_field(out, v, d.width, d.decimals)
+                   : append_exp_field(out, v, d.width, d.decimals,
                                       format.exp_style());
         break;
       }
@@ -177,12 +179,23 @@ std::string encode(const std::vector<Field>& values, const Format& format) {
         const Field& f = values[vi++];
         FEIO_REQUIRE(std::holds_alternative<std::string>(f),
                      "alpha FORMAT field needs a string value");
-        card += write_alpha_field(std::get<std::string>(f), d.width);
+        const std::string& text = std::get<std::string>(f);
+        const size_t width = static_cast<size_t>(d.width);
+        out.append(text, 0, width);
+        if (text.size() < width) out.append(width - text.size(), ' ');
         break;
       }
     }
+    if (!fits && overflowed) overflowed->push_back(static_cast<int>(vi) - 1);
   }
-  if (card.size() < kCardWidth) card.resize(kCardWidth, ' ');
+  const size_t written = out.size() - start;
+  const size_t card_width = kCardWidth;
+  if (written < card_width) out.append(card_width - written, ' ');
+}
+
+std::string encode(const std::vector<Field>& values, const Format& format) {
+  std::string card;
+  encode_append(card, values, format);
   return card;
 }
 
@@ -224,23 +237,17 @@ std::optional<std::vector<Field>> CardReader::try_read(const Format& format,
   return decode(*card, format, sink, loc());
 }
 
-void CardWriter::write(const std::vector<Field>& values, const Format& format) {
-  cards_.push_back(encode(values, format));
+void CardWriter::write(const std::vector<Field>& values, const Format& format,
+                       std::vector<int>* overflowed) {
+  encode_append(text_, values, format, overflowed);
+  text_ += '\n';
 }
 
 void CardWriter::write_raw(std::string_view card) {
-  std::string image(card.substr(0, kCardWidth));
-  image.resize(kCardWidth, ' ');
-  cards_.push_back(std::move(image));
-}
-
-std::string CardWriter::str() const {
-  std::string out;
-  for (const std::string& c : cards_) {
-    out += c;
-    out += '\n';
-  }
-  return out;
+  const std::string_view image = card.substr(0, kCardWidth);
+  text_ += image;
+  text_.append(kCardWidth - image.size(), ' ');
+  text_ += '\n';
 }
 
 long as_int(const Field& f) {

@@ -40,9 +40,16 @@ std::vector<Field> decode(std::string_view card, const Format& format,
                           DiagSink& sink, const SourceLoc& where);
 
 // Encodes values against a format into a (>= format.record_width()) card
-// image, padded with blanks to kCardWidth when shorter. Value/field type
-// mismatches are converted where lossless (int->real) and rejected
-// otherwise.
+// image, padded with blanks to kCardWidth when shorter, and appends it to
+// `out` (no newline). Value/field type mismatches are converted where
+// lossless (int->real) and rejected otherwise. A value too wide for its
+// field is punched as asterisks; when `overflowed` is given, the value's
+// 0-based index is appended to it.
+void encode_append(std::string& out, const std::vector<Field>& values,
+                   const Format& format,
+                   std::vector<int>* overflowed = nullptr);
+
+// The card image encode_append would append.
 std::string encode(const std::vector<Field>& values, const Format& format);
 
 // Streams card images (lines) from an input stream. Lines are truncated or
@@ -79,19 +86,21 @@ class CardReader {
   int card_number_ = 0;
 };
 
-// Collects encoded card images; used for punched output.
+// Collects encoded card images, one line each, in one string; used for
+// punched output and deck writing.
 class CardWriter {
  public:
-  void write(const std::vector<Field>& values, const Format& format);
+  // Appends one encoded card; `overflowed` as in encode_append.
+  void write(const std::vector<Field>& values, const Format& format,
+             std::vector<int>* overflowed = nullptr);
+  // Appends `card` truncated or blank-padded to kCardWidth.
   void write_raw(std::string_view card);
 
-  const std::vector<std::string>& cards() const { return cards_; }
-  // All cards joined with newlines (trailing newline included when
-  // non-empty).
-  std::string str() const;
+  // Every card so far, each followed by a newline.
+  const std::string& str() const { return text_; }
 
  private:
-  std::vector<std::string> cards_;
+  std::string text_;
 };
 
 // Convenience accessors with checked conversion.

@@ -2,11 +2,11 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 
 #include "util/error.h"
 #include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::cards {
 namespace {
@@ -262,16 +262,6 @@ double read_real_field(std::string_view field, int implied_decimals,
   return v;
 }
 
-bool int_field_fits(long value, int width) {
-  char buf[64];
-  return std::snprintf(buf, sizeof buf, "%ld", value) <= width;
-}
-
-bool fixed_field_fits(double value, int width, int decimals) {
-  char buf[128];
-  return std::snprintf(buf, sizeof buf, "%.*f", decimals, value) <= width;
-}
-
 namespace {
 
 // Minimal FORTRAN-normalized Ew.d rendering: sign, "0.", `decimals`
@@ -279,83 +269,111 @@ namespace {
 // mantissa lies in [0.1, 1), so the exponent is the C %E exponent plus one.
 // decimals == 0 keeps the C form (FORTRAN Ew.0 punches no mantissa digits,
 // which loses the value; no deck the paper describes uses it).
-std::string exp_field_fortran(double value, int decimals) {
-  char buf[128];
+void append_exp_fortran(std::string& out, double value, int decimals) {
   if (decimals <= 0) {
-    std::snprintf(buf, sizeof buf, "%.0E", value);
-    return buf;
+    append_sci(out, value, 0);
+    return;
   }
-  std::snprintf(buf, sizeof buf, "%.*E", decimals - 1, value);
-  std::string c_form = buf;
-
-  std::string digits;
-  size_t i = 0;
-  const bool negative = c_form[0] == '-';
-  if (negative || c_form[0] == '+') ++i;
-  for (; i < c_form.size() && c_form[i] != 'E' && c_form[i] != 'e'; ++i) {
-    if (c_form[i] != '.') digits.push_back(c_form[i]);
+  const size_t at = out.size();
+  append_sci(out, value, decimals - 1);  // "[-]d.ddE+xx"
+  // Non-finite values have no 'E'; keep the C rendering and let the width
+  // check turn it into asterisks (or not) exactly as for finite ones.
+  const size_t e = out.find('E', at);
+  if (e == std::string::npos) return;
+  int exponent = 0;
+  for (size_t i = e + 2; i < out.size(); ++i) {
+    exponent = exponent * 10 + (out[i] - '0');
   }
-  // Non-finite values have no 'E'; hand the C rendering back and let the
-  // width check turn it into asterisks (or not) exactly as before.
-  if (i >= c_form.size()) return c_form;
-  int exponent = std::atoi(c_form.c_str() + i + 1) + 1;
+  if (out[e + 1] == '-') exponent = -exponent;
   // %E prints zero as 0.00E+00; the normalized form of zero is 0.00E+00
   // too (mantissa all zeros, exponent zero), not 0.00E+01.
-  if (digits.find_first_not_of('0') == std::string::npos) exponent = 0;
-
-  char tail[16];
-  std::snprintf(tail, sizeof tail, "E%+03d", exponent);
-  return (negative ? std::string("-0.") : std::string("0.")) + digits + tail;
+  exponent = value == 0.0 ? 0 : exponent + 1;
+  out.resize(e + 1);
+  out += exponent < 0 ? '-' : '+';
+  if (std::abs(exponent) < 10) out += '0';
+  append_int(out, std::abs(exponent));
+  // "d.dd" becomes "0.ddd": the lead digit moves into the point's column.
+  const size_t lead = at + (out[at] == '-' ? 1 : 0);
+  if (decimals > 1) {
+    out[lead + 1] = out[lead];
+    out.replace(lead, 1, "0.");
+  } else {
+    out.insert(lead, "0.");
+  }
 }
 
-// The punched image of an Ew.d field, or empty when the value cannot fit.
-std::string exp_field_image(double value, int width, int decimals,
-                            ExpStyle style) {
-  std::string s;
-  if (style == ExpStyle::kC) {
-    char buf[128];
-    std::snprintf(buf, sizeof buf, "%.*E", decimals, value);
-    s = buf;
-  } else {
-    s = exp_field_fortran(value, decimals);
-    if (static_cast<int>(s.size()) == width + 1) {
-      // One column short: drop the leading zero ("0.123E+05" -> ".123E+05"),
-      // as the era's FORMAT processors did.
-      const size_t zero = s[0] == '-' ? 1 : 0;
-      if (zero < s.size() && s[zero] == '0') s.erase(zero, 1);
-    }
-  }
-  if (static_cast<int>(s.size()) > width) return {};
-  return s;
+// Replaces the image appended since `at` with `width` asterisks.
+bool overflow(std::string& out, size_t at, int width) {
+  out.resize(at);
+  out.append(static_cast<size_t>(width), '*');
+  return false;
 }
 
 }  // namespace
 
+bool append_int_field(std::string& out, long value, int width) {
+  const size_t at = out.size();
+  return append_int(out, value, width) <= width || overflow(out, at, width);
+}
+
+bool append_fixed_field(std::string& out, double value, int width,
+                        int decimals) {
+  const size_t at = out.size();
+  return append_fixed(out, value, decimals, width) <= width ||
+         overflow(out, at, width);
+}
+
+bool append_exp_field(std::string& out, double value, int width, int decimals,
+                      ExpStyle style) {
+  const size_t at = out.size();
+  if (style == ExpStyle::kC) {
+    append_sci(out, value, decimals);
+  } else {
+    append_exp_fortran(out, value, decimals);
+    if (out.size() - at == static_cast<size_t>(width) + 1) {
+      // One column short: drop the leading zero ("0.123E+05" -> ".123E+05"),
+      // as the era's FORMAT processors did.
+      const size_t zero = at + (out[at] == '-' ? 1 : 0);
+      if (out[zero] == '0') out.erase(zero, 1);
+    }
+  }
+  const size_t n = out.size() - at;
+  if (n > static_cast<size_t>(width)) return overflow(out, at, width);
+  out.insert(at, static_cast<size_t>(width) - n, ' ');
+  return true;
+}
+
+bool int_field_fits(long value, int width) {
+  std::string image;
+  return append_int(image, value) <= width;
+}
+
+bool fixed_field_fits(double value, int width, int decimals) {
+  std::string image;
+  return append_fixed(image, value, decimals) <= width;
+}
+
 bool exp_field_fits(double value, int width, int decimals, ExpStyle style) {
-  return !exp_field_image(value, width, decimals, style).empty();
+  std::string image;
+  return append_exp_field(image, value, width, decimals, style);
 }
 
 std::string write_int_field(long value, int width) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%*ld", width, value);
-  std::string out = buf;
-  if (static_cast<int>(out.size()) > width) return std::string(static_cast<size_t>(width), '*');
+  std::string out;
+  append_int_field(out, value, width);
   return out;
 }
 
 std::string write_fixed_field(double value, int width, int decimals) {
-  char buf[128];
-  std::snprintf(buf, sizeof buf, "%*.*f", width, decimals, value);
-  std::string out = buf;
-  if (static_cast<int>(out.size()) > width) return std::string(static_cast<size_t>(width), '*');
+  std::string out;
+  append_fixed_field(out, value, width, decimals);
   return out;
 }
 
 std::string write_exp_field(double value, int width, int decimals,
                             ExpStyle style) {
-  std::string out = exp_field_image(value, width, decimals, style);
-  if (out.empty()) return std::string(static_cast<size_t>(width), '*');
-  out.insert(0, static_cast<size_t>(width) - out.size(), ' ');
+  std::string out;
+  append_exp_field(out, value, width, decimals, style);
   return out;
 }
 

@@ -127,25 +127,30 @@ double read_real_field(std::string_view field, int implied_decimals,
 
 // --- Field-level writing -------------------------------------------------
 
+// Appends the right-justified image of a value in `width` columns to `out`
+// and returns true; when the value does not fit, appends `width` asterisks
+// instead (the FORTRAN overflow convention) and returns false. One
+// rendering of the number serves both the fit check and the image.
+// Ew.d under ExpStyle::kFortran punches the normalized 0.dddE+ee form (the
+// leading zero is dropped when the field is exactly one column too narrow
+// for it, as the era's punches did); ExpStyle::kC keeps the C d.ddE+ee form.
+bool append_int_field(std::string& out, long value, int width);
+bool append_fixed_field(std::string& out, double value, int width,
+                        int decimals);
+bool append_exp_field(std::string& out, double value, int width, int decimals,
+                      ExpStyle style = ExpStyle::kFortran);
+
 // Whether a value can be written into its field without overflowing to
-// asterisks. Exposed so punch and the lint FORMAT checker can predict
-// overflow before a single corrupt card is emitted.
+// asterisks. Exposed so the lint FORMAT checker can predict overflow before
+// a single corrupt card is emitted.
 bool int_field_fits(long value, int width);
 bool fixed_field_fits(double value, int width, int decimals);
 bool exp_field_fits(double value, int width, int decimals,
                     ExpStyle style = ExpStyle::kFortran);
 
-// Right-justified integer in `width` columns; returns all asterisks when the
-// value does not fit (FORTRAN overflow convention).
+// The field images of the append_*_field functions as strings.
 std::string write_int_field(long value, int width);
-
-// Fw.d output; asterisks on overflow.
 std::string write_fixed_field(double value, int width, int decimals);
-
-// Ew.d output; asterisks on overflow. ExpStyle::kFortran punches the
-// normalized 0.dddE+ee form (the leading zero is dropped when the field is
-// exactly one column too narrow for it, as the era's punches did);
-// ExpStyle::kC keeps the C d.ddE+ee form.
 std::string write_exp_field(double value, int width, int decimals,
                             ExpStyle style = ExpStyle::kFortran);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
 #include <cstring>
 #include <deque>
 #include <istream>
@@ -39,6 +38,7 @@
 #include "util/fault.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
+#include "util/text.h"
 #include "util/thread_annotations.h"
 
 namespace feio::serve {
@@ -48,6 +48,23 @@ using Clock = std::chrono::steady_clock;
 
 double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
+}
+
+// `text` followed by a count, a time in ms (3 decimals) or a rate (4
+// decimals): the pieces envelopes and summaries are written from.
+void put_int(std::string& out, std::string_view text, std::int64_t value) {
+  out += text;
+  append_int(out, value);
+}
+
+void put_ms(std::string& out, std::string_view text, double ms) {
+  out += text;
+  append_fixed(out, ms, 3);
+}
+
+void put_rate(std::string& out, std::string_view text, double rate) {
+  out += text;
+  append_fixed(out, rate, 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -99,28 +116,31 @@ std::string render_job_envelope(const std::string& id,
                                 JobStatus status, double elapsed_ms,
                                 const DiagSink& sink) {
   constexpr size_t kMaxDiags = 8;
-  std::string out = "{";
-  out += "\"schema\": \"" + std::string(kReportSchema) + "\", ";
-  out += "\"kind\": \"job\", ";
-  out += "\"tool_version\": \"" + std::string(kToolVersion) + "\", ";
-  out += "\"generated_by\": \"feio\", ";
-  out += "\"id\": \"" + json_escape(id) + "\", ";
-  out += "\"tenant\": \"" + json_escape(tenant) + "\", ";
-  out += "\"seq\": " + std::to_string(seq) + ", ";
-  out += "\"status\": \"" + std::string(status_name(status)) + "\", ";
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", elapsed_ms);
-  out += "\"elapsed_ms\": " + std::string(buf) + ", ";
-  out += "\"errors\": " + std::to_string(sink.error_count()) + ", ";
-  out += "\"warnings\": " + std::to_string(sink.warning_count()) + ", ";
-  out += "\"diagnostics\": [";
+  std::string out = "{\"schema\": \"";
+  out += kReportSchema;
+  out += "\", \"kind\": \"job\", \"tool_version\": \"";
+  out += kToolVersion;
+  out += "\", \"generated_by\": \"feio\", \"id\": \"";
+  append_json_escaped(out, id);
+  out += "\", \"tenant\": \"";
+  append_json_escaped(out, tenant);
+  put_int(out, "\", \"seq\": ", seq);
+  out += ", \"status\": \"";
+  out += status_name(status);
+  put_ms(out, "\", \"elapsed_ms\": ", elapsed_ms);
+  put_int(out, ", \"errors\": ", sink.error_count());
+  put_int(out, ", \"warnings\": ", sink.warning_count());
+  out += ", \"diagnostics\": [";
   size_t emitted = 0;
   for (const Diag& d : sink.diags()) {
     if (emitted == kMaxDiags) break;
-    if (emitted > 0) out += ", ";
-    out += "{\"severity\": \"" + std::string(severity_name(d.severity)) +
-           "\", \"code\": \"" + json_escape(d.code) + "\", \"message\": \"" +
-           json_escape(d.message) + "\"}";
+    out += emitted > 0 ? ", {\"severity\": \"" : "{\"severity\": \"";
+    out += severity_name(d.severity);
+    out += "\", \"code\": \"";
+    append_json_escaped(out, d.code);
+    out += "\", \"message\": \"";
+    append_json_escaped(out, d.message);
+    out += "\"}";
     ++emitted;
   }
   out += "]}";
@@ -280,18 +300,6 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
   out.envelope = render_job_envelope(job.id, job.tenant, seq, out.status,
                                      out.elapsed_ms, sink);
   return out;
-}
-
-std::string fmt_ms(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", v);
-  return buf;
-}
-
-std::string fmt_rate(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.4f", v);
-  return buf;
 }
 
 double percentile(const std::vector<double>& sorted, double p) {
@@ -908,87 +916,83 @@ class Session {
 }  // namespace
 
 std::string ServeSummary::render_bench_json() const {
-  std::string out = "{\n";
-  out += report_header_json("bench");
-  out += "  \"payload_schema\": \"feio.bench.serve/1\",\n";
-  out += "  \"jobs\": " + std::to_string(jobs) + ",\n";
-  out += "  \"ok\": " + std::to_string(ok) + ",\n";
-  out += "  \"rejected\": " + std::to_string(rejected) + ",\n";
-  out += "  \"timed_out\": " + std::to_string(timed_out) + ",\n";
-  out += "  \"faulted\": " + std::to_string(faulted) + ",\n";
-  out += "  \"errors\": " + std::to_string(errors) + ",\n";
-  out += "  \"wall_ms\": " + fmt_ms(wall_ms) + ",\n";
-  out += "  \"jobs_per_sec\": " + fmt_ms(jobs_per_sec) + ",\n";
-  out += "  \"p50_ms\": " + fmt_ms(p50_ms) + ",\n";
-  out += "  \"p99_ms\": " + fmt_ms(p99_ms) + ",\n";
-  out += "  \"max_ms\": " + fmt_ms(max_ms) + ",\n";
-  out += "  \"connections\": " + std::to_string(connections) + ",\n";
-  out += "  \"connections_failed\": " + std::to_string(connections_failed) +
-         ",\n";
-  const auto rate = [](std::int64_t hits, std::int64_t misses) {
+  const auto hit_rate = [](std::int64_t hits, std::int64_t misses) {
     const std::int64_t lookups = hits + misses;
     return lookups > 0
                ? static_cast<double>(hits) / static_cast<double>(lookups)
                : 0.0;
   };
-  out += "  \"cache\": {";
-  out += std::string("\"format_enabled\": ") +
-         (format_cache_enabled ? "true" : "false") + ", ";
-  out += "\"format_hits\": " + std::to_string(format_hits) + ", ";
-  out += "\"format_misses\": " + std::to_string(format_misses) + ", ";
-  out += "\"format_hit_rate\": " + fmt_rate(rate(format_hits, format_misses)) +
-         ", ";
-  out += std::string("\"factor_enabled\": ") +
-         (factor_cache_enabled ? "true" : "false") + ", ";
-  out += "\"factor_hits\": " + std::to_string(factor_hits) + ", ";
-  out += "\"factor_misses\": " + std::to_string(factor_misses) + ", ";
-  out += "\"factor_load_reuses\": " + std::to_string(factor_load_reuses) +
-         ", ";
-  out += "\"factor_ttl_evictions\": " + std::to_string(factor_ttl_evictions) +
-         ", ";
-  out += "\"factor_hit_rate\": " + fmt_rate(rate(factor_hits, factor_misses)) +
-         "},\n";
-  out += "  \"tenants\": [";
+  const auto flag = [](bool on) { return on ? "true" : "false"; };
+  std::string out = "{\n";
+  out += report_header_json("bench");
+  out += "  \"payload_schema\": \"feio.bench.serve/1\",\n";
+  put_int(out, "  \"jobs\": ", jobs);
+  put_int(out, ",\n  \"ok\": ", ok);
+  put_int(out, ",\n  \"rejected\": ", rejected);
+  put_int(out, ",\n  \"timed_out\": ", timed_out);
+  put_int(out, ",\n  \"faulted\": ", faulted);
+  put_int(out, ",\n  \"errors\": ", errors);
+  put_ms(out, ",\n  \"wall_ms\": ", wall_ms);
+  put_ms(out, ",\n  \"jobs_per_sec\": ", jobs_per_sec);
+  put_ms(out, ",\n  \"p50_ms\": ", p50_ms);
+  put_ms(out, ",\n  \"p99_ms\": ", p99_ms);
+  put_ms(out, ",\n  \"max_ms\": ", max_ms);
+  put_int(out, ",\n  \"connections\": ", connections);
+  put_int(out, ",\n  \"connections_failed\": ", connections_failed);
+  out += ",\n  \"cache\": {\"format_enabled\": ";
+  out += flag(format_cache_enabled);
+  put_int(out, ", \"format_hits\": ", format_hits);
+  put_int(out, ", \"format_misses\": ", format_misses);
+  put_rate(out, ", \"format_hit_rate\": ",
+           hit_rate(format_hits, format_misses));
+  out += ", \"factor_enabled\": ";
+  out += flag(factor_cache_enabled);
+  put_int(out, ", \"factor_hits\": ", factor_hits);
+  put_int(out, ", \"factor_misses\": ", factor_misses);
+  put_int(out, ", \"factor_load_reuses\": ", factor_load_reuses);
+  put_int(out, ", \"factor_ttl_evictions\": ", factor_ttl_evictions);
+  put_rate(out, ", \"factor_hit_rate\": ",
+           hit_rate(factor_hits, factor_misses));
+  out += "},\n  \"tenants\": [";
   for (size_t i = 0; i < tenants.size(); ++i) {
     const TenantSummary& t = tenants[i];
-    if (i > 0) out += ", ";
-    out += "{\"tenant\": \"" + json_escape(t.tenant) + "\"";
-    out += ", \"weight\": " + std::to_string(t.weight);
-    out += ", \"jobs\": " + std::to_string(t.jobs);
-    out += ", \"ok\": " + std::to_string(t.ok);
-    out += ", \"rejected\": " + std::to_string(t.rejected);
-    out += ", \"timed_out\": " + std::to_string(t.timed_out);
-    out += ", \"faulted\": " + std::to_string(t.faulted);
-    out += ", \"errors\": " + std::to_string(t.errors);
-    out += ", \"share\": " + fmt_rate(t.share) + "}";
+    out += i > 0 ? ", {\"tenant\": \"" : "{\"tenant\": \"";
+    append_json_escaped(out, t.tenant);
+    put_int(out, "\", \"weight\": ", t.weight);
+    put_int(out, ", \"jobs\": ", t.jobs);
+    put_int(out, ", \"ok\": ", t.ok);
+    put_int(out, ", \"rejected\": ", t.rejected);
+    put_int(out, ", \"timed_out\": ", t.timed_out);
+    put_int(out, ", \"faulted\": ", t.faulted);
+    put_int(out, ", \"errors\": ", t.errors);
+    put_rate(out, ", \"share\": ", t.share);
+    out += '}';
   }
-  out += "],\n";
-  out += "  \"window_jobs\": " + std::to_string(window_jobs) + ",\n";
-  out += "  \"windows\": [";
+  put_int(out, "],\n  \"window_jobs\": ", window_jobs);
+  out += ",\n  \"windows\": [";
   for (size_t i = 0; i < windows.size(); ++i) {
     const ServeWindow& w = windows[i];
-    if (i > 0) out += ", ";
-    out += "{\"jobs\": " + std::to_string(w.jobs);
-    out += ", \"wall_ms\": " + fmt_ms(w.wall_ms);
-    out += ", \"jobs_per_sec\": " + fmt_ms(w.jobs_per_sec);
-    out += ", \"p50_ms\": " + fmt_ms(w.p50_ms);
-    out += ", \"p99_ms\": " + fmt_ms(w.p99_ms);
-    out += ", \"format_hit_rate\": " + fmt_rate(w.format_hit_rate);
-    out += ", \"factor_hit_rate\": " + fmt_rate(w.factor_hit_rate);
+    put_int(out, i > 0 ? ", {\"jobs\": " : "{\"jobs\": ", w.jobs);
+    put_ms(out, ", \"wall_ms\": ", w.wall_ms);
+    put_ms(out, ", \"jobs_per_sec\": ", w.jobs_per_sec);
+    put_ms(out, ", \"p50_ms\": ", w.p50_ms);
+    put_ms(out, ", \"p99_ms\": ", w.p99_ms);
+    put_rate(out, ", \"format_hit_rate\": ", w.format_hit_rate);
+    put_rate(out, ", \"factor_hit_rate\": ", w.factor_hit_rate);
     out += ", \"tenant_shares\": {";
     for (size_t t = 0; t < w.tenant_shares.size(); ++t) {
-      if (t > 0) out += ", ";
-      out += "\"" + json_escape(w.tenant_shares[t].first) +
-             "\": " + fmt_rate(w.tenant_shares[t].second);
+      out += t > 0 ? ", \"" : "\"";
+      append_json_escaped(out, w.tenant_shares[t].first);
+      put_rate(out, "\": ", w.tenant_shares[t].second);
     }
     out += "}}";
   }
-  out += "]";
+  out += ']';
   if (has_ablation) {
-    out += ",\n  \"ablation\": {";
-    out += "\"wall_ms\": " + fmt_ms(ablation_wall_ms) + ", ";
-    out += "\"jobs_per_sec\": " + fmt_ms(ablation_jobs_per_sec) + ", ";
-    out += "\"speedup\": " + fmt_ms(cache_speedup) + "}";
+    put_ms(out, ",\n  \"ablation\": {\"wall_ms\": ", ablation_wall_ms);
+    put_ms(out, ", \"jobs_per_sec\": ", ablation_jobs_per_sec);
+    put_ms(out, ", \"speedup\": ", cache_speedup);
+    out += '}';
   }
   out += "\n}\n";
   return out;
@@ -996,50 +1000,60 @@ std::string ServeSummary::render_bench_json() const {
 
 std::string ServeSummary::render_table() const {
   std::string out;
-  out += "SERVE  " + std::to_string(jobs) + " jobs in " + fmt_ms(wall_ms) +
-         " ms (" + fmt_ms(jobs_per_sec) + " jobs/s)\n";
-  out += "  ok .......... " + std::to_string(ok) + "\n";
-  out += "  rejected .... " + std::to_string(rejected) + "\n";
-  out += "  timed out ... " + std::to_string(timed_out) + "\n";
-  out += "  faulted ..... " + std::to_string(faulted) + "\n";
-  out += "  errors ...... " + std::to_string(errors) + "\n";
-  out += "  latency ..... p50 " + fmt_ms(p50_ms) + " ms, p99 " +
-         fmt_ms(p99_ms) + " ms, max " + fmt_ms(max_ms) + " ms\n";
-  out += "  connections . " + std::to_string(connections);
+  put_int(out, "SERVE  ", jobs);
+  put_ms(out, " jobs in ", wall_ms);
+  put_ms(out, " ms (", jobs_per_sec);
+  put_int(out, " jobs/s)\n  ok .......... ", ok);
+  put_int(out, "\n  rejected .... ", rejected);
+  put_int(out, "\n  timed out ... ", timed_out);
+  put_int(out, "\n  faulted ..... ", faulted);
+  put_int(out, "\n  errors ...... ", errors);
+  put_ms(out, "\n  latency ..... p50 ", p50_ms);
+  put_ms(out, " ms, p99 ", p99_ms);
+  put_ms(out, " ms, max ", max_ms);
+  put_int(out, " ms\n  connections . ", connections);
   if (connections_failed > 0) {
-    out += " (" + std::to_string(connections_failed) + " failed)";
+    put_int(out, " (", connections_failed);
+    out += " failed)";
   }
-  out += "\n";
+  out += '\n';
   if (format_cache_enabled) {
-    out += "  fmt cache ... " + std::to_string(format_hits) + " hits / " +
-           std::to_string(format_misses) + " misses\n";
+    put_int(out, "  fmt cache ... ", format_hits);
+    put_int(out, " hits / ", format_misses);
+    out += " misses\n";
   } else {
     out += "  fmt cache ... disabled\n";
   }
   if (factor_cache_enabled) {
-    out += "  factor LRU .. " + std::to_string(factor_hits) + " hits / " +
-           std::to_string(factor_misses) + " misses (" +
-           std::to_string(factor_load_reuses) + " load reuses, " +
-           std::to_string(factor_ttl_evictions) + " ttl evictions)\n";
+    put_int(out, "  factor LRU .. ", factor_hits);
+    put_int(out, " hits / ", factor_misses);
+    put_int(out, " misses (", factor_load_reuses);
+    put_int(out, " load reuses, ", factor_ttl_evictions);
+    out += " ttl evictions)\n";
   } else {
     out += "  factor LRU .. disabled\n";
   }
   for (const TenantSummary& t : tenants) {
-    out += "  tenant ...... \"" + t.tenant + "\" w" +
-           std::to_string(t.weight) + ": " + std::to_string(t.jobs) +
-           " jobs (share " + fmt_rate(t.share) + ", ok " +
-           std::to_string(t.ok) + ", rejected " + std::to_string(t.rejected) +
-           ")\n";
+    out += "  tenant ...... \"";
+    out += t.tenant;
+    put_int(out, "\" w", t.weight);
+    put_int(out, ": ", t.jobs);
+    put_rate(out, " jobs (share ", t.share);
+    put_int(out, ", ok ", t.ok);
+    put_int(out, ", rejected ", t.rejected);
+    out += ")\n";
   }
   if (!windows.empty()) {
-    out += "  windows ..... " + std::to_string(windows.size()) + " x " +
-           std::to_string(window_jobs) + " jobs, last " +
-           fmt_ms(windows.back().jobs_per_sec) + " jobs/s (p50 " +
-           fmt_ms(windows.back().p50_ms) + " ms)\n";
+    put_int(out, "  windows ..... ", static_cast<std::int64_t>(windows.size()));
+    put_int(out, " x ", window_jobs);
+    put_ms(out, " jobs, last ", windows.back().jobs_per_sec);
+    put_ms(out, " jobs/s (p50 ", windows.back().p50_ms);
+    out += " ms)\n";
   }
   if (has_ablation) {
-    out += "  ablation .... caches off " + fmt_ms(ablation_jobs_per_sec) +
-           " jobs/s; speedup " + fmt_ms(cache_speedup) + "x\n";
+    put_ms(out, "  ablation .... caches off ", ablation_jobs_per_sec);
+    put_ms(out, " jobs/s; speedup ", cache_speedup);
+    out += "x\n";
   }
   return out;
 }

@@ -1,7 +1,6 @@
 #include "idlz/idlz.h"
 
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "idlz/punch.h"
@@ -13,7 +12,7 @@
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
-#include "util/strings.h"
+#include "util/text.h"
 #include "util/trace.h"
 
 namespace feio::idlz {
@@ -215,23 +214,32 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
 
 std::string summarize(const IdlzResult& r) {
   const mesh::QualitySummary q = mesh::summarize_quality(r.mesh);
-  std::ostringstream out;
-  out << "IDLZ  " << r.title << "\n";
-  out << "  nodes ............... " << r.mesh.num_nodes() << "\n";
-  out << "  elements ............ " << r.mesh.num_elements() << "\n";
-  out << "  boundary nodes ...... " << r.volume.boundary_nodes << "\n";
-  out << "  located by cards .... " << r.shaping.nodes_from_cards << "\n";
-  out << "  interpolated ........ " << r.shaping.nodes_interpolated << "\n";
-  out << "  reform flips ........ " << r.reform.flips << "\n";
-  out << "  bandwidth ........... " << r.renumbering.bandwidth_before
-      << " -> " << r.renumbering.bandwidth_after << "\n";
-  out << "  min angle (deg) ..... " << fixed(q.min_angle_rad * 57.29578, 1)
-      << "\n";
-  out << "  input data values ... " << r.volume.input_values << "\n";
-  out << "  output data values .. " << r.volume.output_values << "\n";
-  out << "  input/output ........ "
-      << fixed(100.0 * r.volume.input_fraction(), 2) << "%\n";
-  return out.str();
+  std::string out = "IDLZ  ";
+  out += r.title;
+  out += '\n';
+  const auto row = [&](const char* label, long long value) {
+    out += label;
+    append_int(out, value);
+    out += '\n';
+  };
+  row("  nodes ............... ", r.mesh.num_nodes());
+  row("  elements ............ ", r.mesh.num_elements());
+  row("  boundary nodes ...... ", r.volume.boundary_nodes);
+  row("  located by cards .... ", r.shaping.nodes_from_cards);
+  row("  interpolated ........ ", r.shaping.nodes_interpolated);
+  row("  reform flips ........ ", r.reform.flips);
+  out += "  bandwidth ........... ";
+  append_int(out, r.renumbering.bandwidth_before);
+  row(" -> ", r.renumbering.bandwidth_after);
+  out += "  min angle (deg) ..... ";
+  append_fixed(out, q.min_angle_rad * 57.29578, 1);
+  out += '\n';
+  row("  input data values ... ", r.volume.input_values);
+  row("  output data values .. ", r.volume.output_values);
+  out += "  input/output ........ ";
+  append_fixed(out, 100.0 * r.volume.input_fraction(), 2);
+  out += "%\n";
+  return out;
 }
 
 }  // namespace feio::idlz

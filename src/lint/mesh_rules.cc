@@ -6,13 +6,14 @@
 #include <array>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "idlz/renumber.h"
 #include "lint/lint.h"
 #include "mesh/bandwidth.h"
 #include "mesh/quality.h"
-#include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::lint {
 namespace {
@@ -30,14 +31,14 @@ void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
   const double threshold_rad = opts.needle_threshold_deg * kPi / 180.0;
   const mesh::QualitySummary q = mesh::summarize_quality(mesh, threshold_rad);
   if (q.needle_count > 0) {
-    sink.warning("L-MESH-001",
-                 std::to_string(q.needle_count) + " of " +
-                     std::to_string(mesh.num_elements()) +
-                     " elements are needles (min angle below " +
-                     fixed(opts.needle_threshold_deg, 0) +
-                     " degrees; worst " +
-                     fixed(q.min_angle_rad * 180.0 / kPi, 1) + " degrees)",
-                 loc);
+    std::string msg = std::to_string(q.needle_count) + " of " +
+                      std::to_string(mesh.num_elements()) +
+                      " elements are needles (min angle below ";
+    append_fixed(msg, opts.needle_threshold_deg, 0);
+    msg += " degrees; worst ";
+    append_fixed(msg, q.min_angle_rad * 180.0 / kPi, 1);
+    msg += " degrees)";
+    sink.warning("L-MESH-001", std::move(msg), loc);
   }
 
   // L-MESH-002: nodes no element references. Such nodes are still punched
@@ -101,13 +102,13 @@ void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
           100.0 * (r.bandwidth_before - r.bandwidth_after) /
           static_cast<double>(r.bandwidth_before);
       if (gain >= opts.bandwidth_gain_pct) {
-        sink.warning("L-MESH-005",
-                     "renumbering would cut the coefficient-matrix "
-                     "bandwidth from " +
-                         std::to_string(r.bandwidth_before) + " to " +
-                         std::to_string(r.bandwidth_after) + " (" +
-                         fixed(gain, 0) + "% smaller); set NONUMB = 1",
-                     loc);
+        std::string msg =
+            "renumbering would cut the coefficient-matrix bandwidth from " +
+            std::to_string(r.bandwidth_before) + " to " +
+            std::to_string(r.bandwidth_after) + " (";
+        append_fixed(msg, gain, 0);
+        msg += "% smaller); set NONUMB = 1";
+        sink.warning("L-MESH-005", std::move(msg), loc);
       }
     }
   }

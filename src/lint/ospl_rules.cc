@@ -5,10 +5,11 @@
 // errors.
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "lint/lint.h"
 #include "ospl/interval.h"
-#include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::lint {
 
@@ -26,22 +27,33 @@ void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
   const double vmin = *lo_it;
   const double vmax = *hi_it;
 
+  // The message openings every DELTA rule shares.
+  const auto delta_is = [&c] {
+    std::string msg = "contour interval DELTA = ";
+    append_fixed(msg, c.delta, 4);
+    return msg;
+  };
+  const auto append_range = [vmin, vmax](std::string& msg) {
+    append_fixed(msg, vmin, 4);
+    msg += " .. ";
+    append_fixed(msg, vmax, 4);
+  };
+
   // L-OSPL-003: a negative interval never produces a level (the automatic
   // rule only triggers on DELTA == 0).
   if (c.delta < 0.0) {
     sink.error("L-OSPL-003",
-               "contour interval DELTA = " + fixed(c.delta, 4) +
-                   " is negative; use 0 for the automatic interval",
+               delta_is() + " is negative; use 0 for the automatic interval",
                delta_loc);
   }
 
   // L-OSPL-001: a flat field has no contours regardless of DELTA.
   if (vmax <= vmin) {
-    sink.warning("L-OSPL-001",
-                 "all " + std::to_string(c.values.size()) +
-                     " nodal values equal " + fixed(vmin, 4) +
-                     "; no contours can be drawn",
-                 delta_loc);
+    std::string msg =
+        "all " + std::to_string(c.values.size()) + " nodal values equal ";
+    append_fixed(msg, vmin, 4);
+    msg += "; no contours can be drawn";
+    sink.warning("L-OSPL-001", std::move(msg), delta_loc);
   } else if (c.delta > 0.0) {
     // L-OSPL-002/004 only apply to an explicit interval; the automatic rule
     // of Appendix D bounds the level count by construction.
@@ -49,23 +61,21 @@ void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
     const double levels_in_range =
         lowest > vmax ? 0.0 : (vmax - lowest) / c.delta + 1.0;
     if (levels_in_range < 2.0) {
-      sink.warning(
-          "L-OSPL-002",
-          "contour interval DELTA = " + fixed(c.delta, 4) + " leaves " +
-              std::to_string(static_cast<int>(levels_in_range)) +
-              " contour level(s) inside the nodal-value range " +
-              fixed(vmin, 4) + " .. " + fixed(vmax, 4) +
-              " (automatic interval would be " +
-              fixed(ospl::auto_interval(vmin, vmax), 4) + ")",
-          delta_loc);
+      std::string msg = delta_is() + " leaves " +
+                        std::to_string(static_cast<int>(levels_in_range)) +
+                        " contour level(s) inside the nodal-value range ";
+      append_range(msg);
+      msg += " (automatic interval would be ";
+      append_fixed(msg, ospl::auto_interval(vmin, vmax), 4);
+      msg += ')';
+      sink.warning("L-OSPL-002", std::move(msg), delta_loc);
     } else if (levels_in_range > opts.max_contour_levels) {
-      sink.warning(
-          "L-OSPL-004",
-          "contour interval DELTA = " + fixed(c.delta, 4) + " implies about " +
-              std::to_string(static_cast<long>(levels_in_range)) +
-              " contour levels over the range " + fixed(vmin, 4) + " .. " +
-              fixed(vmax, 4) + "; the plot will be solid ink",
-          delta_loc);
+      std::string msg = delta_is() + " implies about " +
+                        std::to_string(static_cast<long>(levels_in_range)) +
+                        " contour levels over the range ";
+      append_range(msg);
+      msg += "; the plot will be solid ink";
+      sink.warning("L-OSPL-004", std::move(msg), delta_loc);
     }
   }
 
@@ -76,14 +86,16 @@ void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
         c.window.hi.x < mesh_box.lo.x || c.window.lo.x > mesh_box.hi.x ||
         c.window.hi.y < mesh_box.lo.y || c.window.lo.y > mesh_box.hi.y;
     if (disjoint) {
-      sink.warning("L-OSPL-005",
-                   "zoom window (" + fixed(c.window.lo.x, 4) + "," +
-                       fixed(c.window.lo.y, 4) + ")-(" +
-                       fixed(c.window.hi.x, 4) + "," +
-                       fixed(c.window.hi.y, 4) +
-                       ") does not intersect the mesh; the plot will be "
-                       "empty",
-                   window_loc);
+      std::string msg = "zoom window (";
+      append_fixed(msg, c.window.lo.x, 4);
+      msg += ',';
+      append_fixed(msg, c.window.lo.y, 4);
+      msg += ")-(";
+      append_fixed(msg, c.window.hi.x, 4);
+      msg += ',';
+      append_fixed(msg, c.window.hi.y, 4);
+      msg += ") does not intersect the mesh; the plot will be empty";
+      sink.warning("L-OSPL-005", std::move(msg), window_loc);
     }
   }
 }

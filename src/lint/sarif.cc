@@ -1,10 +1,10 @@
 #include "lint/sarif.h"
 
-#include <sstream>
 #include <string>
 #include <string_view>
 
 #include "lint/rule.h"
+#include "util/text.h"
 
 namespace feio::lint {
 namespace {
@@ -21,56 +21,70 @@ std::string_view sarif_level(Severity s) {
   }
 }
 
-void append_rules(std::ostringstream& out) {
-  out << "[";
+void append_rules(std::string& out) {
+  out += '[';
   bool first = true;
   for (const Rule& r : rules()) {
-    if (!first) out << ",";
+    if (!first) out += ',';
     first = false;
-    out << "{\"id\":\"" << r.code << "\",\"name\":\"" << json_escape(r.name)
-        << "\",\"shortDescription\":{\"text\":\"" << json_escape(r.summary)
-        << "\"},\"help\":{\"text\":\"" << json_escape(r.paper)
-        << "\"},\"defaultConfiguration\":{\"level\":\""
-        << sarif_level(r.severity) << "\"}}";
+    out += "{\"id\":\"";
+    out += r.code;
+    out += "\",\"name\":\"";
+    append_json_escaped(out, r.name);
+    out += "\",\"shortDescription\":{\"text\":\"";
+    append_json_escaped(out, r.summary);
+    out += "\"},\"help\":{\"text\":\"";
+    append_json_escaped(out, r.paper);
+    out += "\"},\"defaultConfiguration\":{\"level\":\"";
+    out += sarif_level(r.severity);
+    out += "\"}}";
   }
-  out << "]";
+  out += ']';
 }
 
-void append_result(std::ostringstream& out, const Diag& d) {
-  out << "{\"ruleId\":\"" << json_escape(d.code) << "\",\"level\":\""
-      << sarif_level(d.severity) << "\",\"message\":{\"text\":\""
-      << json_escape(d.message) << "\"}";
+void append_result(std::string& out, const Diag& d) {
+  out += "{\"ruleId\":\"";
+  append_json_escaped(out, d.code);
+  out += "\",\"level\":\"";
+  out += sarif_level(d.severity);
+  out += "\",\"message\":{\"text\":\"";
+  append_json_escaped(out, d.message);
+  out += "\"}";
   if (d.loc.known() && d.loc.card > 0) {
-    out << ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
-        << "{\"uri\":\"" << json_escape(d.loc.deck)
-        << "\"},\"region\":{\"startLine\":" << d.loc.card;
+    out += ",\"locations\":[{\"physicalLocation\":{\"artifactLocation\":"
+           "{\"uri\":\"";
+    append_json_escaped(out, d.loc.deck);
+    out += "\"},\"region\":{\"startLine\":";
+    append_int(out, d.loc.card);
     if (d.loc.col_begin > 0) {
-      out << ",\"startColumn\":" << d.loc.col_begin
-          << ",\"endColumn\":" << d.loc.col_end + 1;
+      out += ",\"startColumn\":";
+      append_int(out, d.loc.col_begin);
+      out += ",\"endColumn\":";
+      append_int(out, d.loc.col_end + 1);
     }
-    out << "}}}]";
+    out += "}}}]";
   }
-  out << "}";
+  out += '}';
 }
 
 }  // namespace
 
 std::string render_sarif(const DiagSink& sink) {
-  std::ostringstream out;
-  out << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
-      << "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
-      << "{\"name\":\"feio-lint\",\"informationUri\":"
-      << "\"https://example.invalid/feio\",\"rules\":";
+  std::string out =
+      "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\","
+      "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
+      "{\"name\":\"feio-lint\",\"informationUri\":"
+      "\"https://example.invalid/feio\",\"rules\":";
   append_rules(out);
-  out << "}},\"results\":[";
+  out += "}},\"results\":[";
   bool first = true;
   for (const Diag& d : sink.diags()) {
-    if (!first) out << ",";
+    if (!first) out += ',';
     first = false;
     append_result(out, d);
   }
-  out << "]}]}";
-  return out.str();
+  out += "]}]}";
+  return out;
 }
 
 }  // namespace feio::lint

@@ -4,13 +4,14 @@
 #include <cmath>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "geom/polygon.h"
 #include "geom/vec2.h"
 #include "lint/lint.h"
 #include "util/error.h"
-#include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::lint {
 namespace {
@@ -139,10 +140,12 @@ void lint_subdivisions(const std::vector<idlz::Subdivision>& subdivisions,
     for (size_t j = i + 1; j < usable.size(); ++j) {
       const double area = convex_intersection_area(outlines[i], outlines[j]);
       if (area < 0.5) continue;
-      sink.error("L-SUB-002",
-                 "subdivisions " + std::to_string(usable[i]->id) + " and " +
-                     std::to_string(usable[j]->id) + " overlap (" +
-                     fixed(area, 1) + " grid cells of common area)",
+      std::string msg = "subdivisions " + std::to_string(usable[i]->id) +
+                        " and " + std::to_string(usable[j]->id) +
+                        " overlap (";
+      append_fixed(msg, area, 1);
+      msg += " grid cells of common area)";
+      sink.error("L-SUB-002", std::move(msg),
                  card_loc(deck_name, usable[j]->card));
     }
   }
@@ -192,23 +195,27 @@ void lint_shaping(const idlz::IdlzCase& c, const LintOptions& opts,
       const double r = std::abs(line.radius);
       if (chord <= 0.0) continue;  // degenerate run; shaped as a point
       if (2.0 * r < chord) {
-        sink.error("L-SUB-006",
-                   "shaping arc for subdivision " +
-                       std::to_string(spec.subdivision_id) + " has radius " +
-                       fixed(r, 4) + " smaller than half its chord " +
-                       fixed(chord, 4) + "; no such arc exists",
+        std::string msg = "shaping arc for subdivision " +
+                          std::to_string(spec.subdivision_id) +
+                          " has radius ";
+        append_fixed(msg, r, 4);
+        msg += " smaller than half its chord ";
+        append_fixed(msg, chord, 4);
+        msg += "; no such arc exists";
+        sink.error("L-SUB-006", std::move(msg),
                    card_loc(c.deck_name, line.card));
         continue;
       }
       const double sweep_deg =
           2.0 * std::asin(std::min(1.0, chord / (2.0 * r))) * 180.0 / kPi;
       if (sweep_deg > 90.0 + 1e-9) {
-        sink.error("L-SUB-005",
-                   "shaping arc for subdivision " +
-                       std::to_string(spec.subdivision_id) + " subtends " +
-                       fixed(sweep_deg, 1) +
-                       " degrees; General Restriction 2 allows at most 90 "
-                       "(split the run into shorter arcs)",
+        std::string msg = "shaping arc for subdivision " +
+                          std::to_string(spec.subdivision_id) + " subtends ";
+        append_fixed(msg, sweep_deg, 1);
+        msg +=
+            " degrees; General Restriction 2 allows at most 90 (split the run "
+            "into shorter arcs)";
+        sink.error("L-SUB-005", std::move(msg),
                    card_loc(c.deck_name, line.card));
       }
     }

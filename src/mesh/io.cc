@@ -5,6 +5,7 @@
 
 #include "util/error.h"
 #include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::mesh {
 namespace {
@@ -28,20 +29,40 @@ bool next_line(std::istream& in, std::string& line) {
   return false;
 }
 
+// "x y 0" with 6 decimals, the coordinate line both formats share.
+void append_vertex(std::string& out, const Node& n) {
+  append_fixed(out, n.pos.x, 6);
+  out += ' ';
+  append_fixed(out, n.pos.y, 6);
+  out += " 0\n";
+}
+
+// The element's three node numbers plus `base`, each after a space.
+void append_face(std::string& out, const Element& el, int base) {
+  for (const int node : el.n) {
+    out += ' ';
+    append_int(out, node + base);
+  }
+  out += '\n';
+}
+
 }  // namespace
 
 std::string to_obj(const TriMesh& mesh) {
-  std::ostringstream out;
-  out << "# feio idealization: " << mesh.num_nodes() << " nodes, "
-      << mesh.num_elements() << " elements\n";
+  std::string out = "# feio idealization: ";
+  append_int(out, mesh.num_nodes());
+  out += " nodes, ";
+  append_int(out, mesh.num_elements());
+  out += " elements\n";
   for (const Node& n : mesh.nodes()) {
-    out << "v " << fixed(n.pos.x, 6) << " " << fixed(n.pos.y, 6) << " 0\n";
+    out += "v ";
+    append_vertex(out, n);
   }
   for (const Element& el : mesh.elements()) {
-    out << "f " << el.n[0] + 1 << " " << el.n[1] + 1 << " " << el.n[2] + 1
-        << "\n";
+    out += 'f';
+    append_face(out, el, 1);
   }
-  return out.str();
+  return out;
 }
 
 void write_obj(const TriMesh& mesh, const std::string& path) {
@@ -49,16 +70,17 @@ void write_obj(const TriMesh& mesh, const std::string& path) {
 }
 
 std::string to_off(const TriMesh& mesh) {
-  std::ostringstream out;
-  out << "OFF\n"
-      << mesh.num_nodes() << " " << mesh.num_elements() << " 0\n";
-  for (const Node& n : mesh.nodes()) {
-    out << fixed(n.pos.x, 6) << " " << fixed(n.pos.y, 6) << " 0\n";
-  }
+  std::string out = "OFF\n";
+  append_int(out, mesh.num_nodes());
+  out += ' ';
+  append_int(out, mesh.num_elements());
+  out += " 0\n";
+  for (const Node& n : mesh.nodes()) append_vertex(out, n);
   for (const Element& el : mesh.elements()) {
-    out << "3 " << el.n[0] << " " << el.n[1] << " " << el.n[2] << "\n";
+    out += '3';
+    append_face(out, el, 0);
   }
-  return out.str();
+  return out;
 }
 
 void write_off(const TriMesh& mesh, const std::string& path) {

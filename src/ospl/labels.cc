@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::ospl {
 
@@ -19,7 +19,8 @@ int decimals_for_interval(double delta) {
 }
 
 std::string format_level(double level, int decimals) {
-  std::string body = fixed(std::abs(level), decimals);
+  std::string body;
+  append_fixed(body, std::abs(level), decimals);
   if (decimals == 0) {
     body += ".";
   } else if (body.size() > 1 && body.front() == '0') {

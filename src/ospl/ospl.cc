@@ -13,7 +13,7 @@
 #include "util/guard.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
-#include "util/strings.h"
+#include "util/text.h"
 #include "util/trace.h"
 
 namespace feio::ospl {
@@ -27,9 +27,10 @@ OsplLimits OsplLimits::unlimited() {
 
 std::string interval_caption(double delta) {
   // Trim trailing zeros but keep the paper's trailing point for integers.
-  std::string s = fixed(delta, 4);
-  while (!s.empty() && s.back() == '0') s.pop_back();
-  return "CONTOUR INTERVAL IS " + s;
+  std::string s = "CONTOUR INTERVAL IS ";
+  append_fixed(s, delta, 4);
+  while (s.back() == '0') s.pop_back();
+  return s;
 }
 
 OsplResult run(const OsplCase& c, const RunOptions& opts) {

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "mesh/topology.h"
 #include "plot/mesh_plot.h"
 #include "util/error.h"
-#include "util/strings.h"
+#include "util/text.h"
 
 namespace feio::plot {
 
@@ -50,7 +52,10 @@ PlotFile plot_deformed(const mesh::TriMesh& mesh,
                        std::string title, const DeformedPlotOptions& opts) {
   PlotFile out;
   const double scale = draw_deformed(mesh, displacement, out, opts);
-  out.set_title(title + "  (DEFLECTIONS x" + fixed(scale, 1) + ")");
+  title += "  (DEFLECTIONS x";
+  append_fixed(title, scale, 1);
+  title += ')';
+  out.set_title(std::move(title));
   return out;
 }
 

@@ -1,11 +1,10 @@
 #include "util/diag.h"
 
-#include <cstdio>
-
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/metrics.h"
 #include "util/report.h"
+#include "util/text.h"
 
 namespace feio {
 namespace {
@@ -148,22 +147,33 @@ std::string DiagSink::render_report_json(std::string_view kind) const {
 
 std::string DiagSink::render_json() const {
   std::string out = "{\n";
-  out += std::string("  \"ok\": ") + (ok() ? "true" : "false") + ",\n";
-  out += "  \"errors\": " + std::to_string(error_count()) + ",\n";
-  out += "  \"warnings\": " + std::to_string(warning_count()) + ",\n";
-  out += "  \"notes\": " + std::to_string(count(Severity::kNote)) + ",\n";
-  out += std::string("  \"capped\": ") + (capped_ ? "true" : "false") + ",\n";
+  out += ok() ? "  \"ok\": true,\n" : "  \"ok\": false,\n";
+  out += "  \"errors\": ";
+  append_int(out, error_count());
+  out += ",\n  \"warnings\": ";
+  append_int(out, warning_count());
+  out += ",\n  \"notes\": ";
+  append_int(out, count(Severity::kNote));
+  out += capped_ ? ",\n  \"capped\": true,\n" : ",\n  \"capped\": false,\n";
   out += "  \"diagnostics\": [";
   for (size_t i = 0; i < diags_.size(); ++i) {
     const Diag& d = diags_[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"severity\": \"" + std::string(severity_name(d.severity)) +
-           "\", \"code\": \"" + json_escape(d.code) + "\", \"message\": \"" +
-           json_escape(d.message) + "\", \"deck\": \"" +
-           json_escape(d.loc.deck) + "\", \"card\": " +
-           std::to_string(d.loc.card) + ", \"colBegin\": " +
-           std::to_string(d.loc.col_begin) + ", \"colEnd\": " +
-           std::to_string(d.loc.col_end) + "}";
+    out += "    {\"severity\": \"";
+    out += severity_name(d.severity);
+    out += "\", \"code\": \"";
+    append_json_escaped(out, d.code);
+    out += "\", \"message\": \"";
+    append_json_escaped(out, d.message);
+    out += "\", \"deck\": \"";
+    append_json_escaped(out, d.loc.deck);
+    out += "\", \"card\": ";
+    append_int(out, d.loc.card);
+    out += ", \"colBegin\": ";
+    append_int(out, d.loc.col_begin);
+    out += ", \"colEnd\": ";
+    append_int(out, d.loc.col_end);
+    out += "}";
   }
   out += diags_.empty() ? "]\n" : "\n  ]\n";
   out += "}\n";
@@ -183,34 +193,7 @@ void DiagSink::throw_if_errors() const {
 std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_json_escaped(out, s);
   return out;
 }
 

@@ -31,7 +31,7 @@ class DrrQueue {
   // Registers a lane with the given weight (>= 1) and returns its index.
   int add_lane(int weight) {
     FEIO_ASSERT(weight >= 1);
-    lanes_.push_back(Lane{weight});
+    lanes_.emplace_back().weight = weight;
     return static_cast<int>(lanes_.size()) - 1;
   }
 

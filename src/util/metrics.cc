@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdio>
 #include <unordered_map>
 
 #include "util/report.h"
+#include "util/text.h"
 
 namespace feio::util {
 namespace {
@@ -19,14 +19,6 @@ struct ThreadSlot {
   void* shard = nullptr;
 };
 thread_local ThreadSlot tl_slot;
-
-// Doubles rendered with up to 6 significant digits, trailing zeros trimmed
-// — enough for min/max of the coarse quantities we record, and stable.
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -134,7 +126,8 @@ std::string MetricsRegistry::render_body_json(int indent) const {
   for (const auto& [name, v] : snap.counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += pad + "  \"" + name + "\": " + std::to_string(v);
+    out += pad + "  \"" + name + "\": ";
+    append_int(out, v);
   }
   out += first ? "},\n" : "\n" + pad + "},\n";
   out += pad + "\"histograms\": {";
@@ -142,15 +135,21 @@ std::string MetricsRegistry::render_body_json(int indent) const {
   for (const auto& [name, h] : snap.histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += pad + "  \"" + name + "\": {\"count\": " + std::to_string(h.count) +
-           ", \"min\": " + render_double(h.min) +
-           ", \"max\": " + render_double(h.max) + ", \"buckets\": [";
+    // Up to 6 significant digits for min/max, trailing zeros trimmed:
+    // enough for the coarse quantities recorded, and stable.
+    out += pad + "  \"" + name + "\": {\"count\": ";
+    append_int(out, h.count);
+    out += ", \"min\": ";
+    append_general(out, h.min, 6);
+    out += ", \"max\": ";
+    append_general(out, h.max, 6);
+    out += ", \"buckets\": [";
     // Trailing empty buckets are elided; bucket i counts 2^(i-1) <= |v| < 2^i.
     int last = kHistogramBuckets - 1;
     while (last > 0 && h.buckets[last] == 0) --last;
     for (int i = 0; i <= last; ++i) {
       if (i > 0) out += ", ";
-      out += std::to_string(h.buckets[i]);
+      append_int(out, h.buckets[i]);
     }
     out += "]}";
   }

@@ -1,7 +1,6 @@
 #include "util/strings.h"
 
 #include <cctype>
-#include <cstdio>
 
 namespace feio {
 
@@ -33,24 +32,6 @@ std::vector<std::string> split(std::string_view s, char delim) {
 
 bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
-std::string fixed(double value, int prec) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", prec, value);
-  return buf;
-}
-
-std::string pad_left(std::string_view s, int w) {
-  std::string out(s);
-  if (static_cast<int>(out.size()) < w) out.insert(0, w - out.size(), ' ');
-  return out;
-}
-
-std::string pad_right(std::string_view s, int w) {
-  std::string out(s);
-  if (static_cast<int>(out.size()) < w) out.append(w - out.size(), ' ');
-  return out;
 }
 
 }  // namespace feio

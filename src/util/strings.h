@@ -1,5 +1,6 @@
-// Small string utilities shared across the library (card parsing, report
-// generation). Kept deliberately minimal; no locale dependence.
+// Small string utilities shared across the library's parsers. Kept
+// deliberately minimal; no locale dependence. Output goes through
+// util/text.h.
 #pragma once
 
 #include <string>
@@ -19,14 +20,5 @@ std::vector<std::string> split(std::string_view s, char delim);
 
 // True when `s` starts with `prefix`.
 bool starts_with(std::string_view s, std::string_view prefix);
-
-// Formats a double the way a report column wants it: fixed, `prec` decimals.
-std::string fixed(double value, int prec);
-
-// Left-pads `s` with spaces to width `w` (no truncation).
-std::string pad_left(std::string_view s, int w);
-
-// Right-pads `s` with spaces to width `w` (no truncation).
-std::string pad_right(std::string_view s, int w);
 
 }  // namespace feio

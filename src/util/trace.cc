@@ -2,7 +2,8 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+
+#include "util/text.h"
 
 namespace feio::util {
 namespace {
@@ -23,14 +24,6 @@ struct ThreadSlot {
   void* buf = nullptr;
 };
 thread_local ThreadSlot tl_slot;
-
-// Timestamps with sub-microsecond resolution; fixed 3 decimals keeps the
-// rendering stable and parseable.
-void append_ts(std::string& out, double us) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.3f", us);
-  out += buf;
-}
 
 }  // namespace
 
@@ -88,19 +81,19 @@ std::string Tracer::render_json() const {
       out += first ? "\n" : ",\n";
       first = false;
       out += "{\"name\": \"";
-      // Span names are code-controlled dotted identifiers; escape the two
-      // characters that could break the literal anyway.
-      for (char c : e.name) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
+      append_json_escaped(out, e.name);
       out += "\", \"cat\": \"feio\", \"ph\": \"";
       out += e.phase == TraceEvent::Phase::kBegin ? 'B' : 'E';
-      out += "\", \"pid\": 1, \"tid\": " + std::to_string(tid + 1) +
-             ", \"ts\": ";
-      append_ts(out, e.ts_us);
+      out += "\", \"pid\": 1, \"tid\": ";
+      append_int(out, static_cast<long long>(tid + 1));
+      // Sub-microsecond timestamps; fixed 3 decimals keeps the rendering
+      // stable and parseable.
+      out += ", \"ts\": ";
+      append_fixed(out, e.ts_us, 3);
       if (!e.args_json.empty()) {
-        out += ", \"args\": {" + e.args_json + "}";
+        out += ", \"args\": {";
+        out += e.args_json;
+        out += '}';
       }
       out += "}";
     }
@@ -131,18 +124,20 @@ TraceSpan::~TraceSpan() {
 void TraceSpan::arg(const char* key, std::int64_t value) {
   if (tracer_ == nullptr) return;
   if (!args_json_.empty()) args_json_ += ", ";
-  args_json_ += "\"" + std::string(key) + "\": " + std::to_string(value);
+  args_json_ += '"';
+  args_json_ += key;
+  args_json_ += "\": ";
+  append_int(args_json_, value);
 }
 
 void TraceSpan::arg(const char* key, const std::string& value) {
   if (tracer_ == nullptr) return;
   if (!args_json_.empty()) args_json_ += ", ";
-  args_json_ += "\"" + std::string(key) + "\": \"";
-  for (char c : value) {
-    if (c == '"' || c == '\\') args_json_ += '\\';
-    args_json_ += c;
-  }
-  args_json_ += "\"";
+  args_json_ += '"';
+  args_json_ += key;
+  args_json_ += "\": \"";
+  append_json_escaped(args_json_, value);
+  args_json_ += '"';
 }
 
 ScopedTracerInstall::ScopedTracerInstall(Tracer* t) {

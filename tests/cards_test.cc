@@ -444,9 +444,11 @@ TEST(CardWriterTest, CollectsCards) {
   CardWriter w;
   w.write({1L, 2L}, Format::parse("(2I5)"));
   w.write_raw("TITLE CARD");
-  EXPECT_EQ(w.cards().size(), 2u);
-  EXPECT_EQ(w.cards()[0].substr(0, 10), "    1    2");
+  // Two 80-column cards, each on its own line.
   const std::string all = w.str();
+  ASSERT_EQ(all.size(), 2u * (kCardWidth + 1));
+  EXPECT_EQ(all.substr(0, 10), "    1    2");
+  EXPECT_EQ(all.substr(kCardWidth + 1, 10), "TITLE CARD");
   EXPECT_EQ(std::count(all.begin(), all.end(), '\n'), 2);
 }
 

@@ -207,6 +207,7 @@ TEST(TraceDeterminismTest, SpansNestAndCarryArgs) {
     FEIO_TRACE_SPAN(outer, "outer");
     outer.arg("answer", 42);
     outer.arg("label", std::string("a\"b"));
+    outer.arg("title", std::string("deck\ttitle"));  // a tab from a card
     { FEIO_TRACE_SCOPE("inner"); }
   }
   const std::string json = tracer.render_json();
@@ -214,6 +215,7 @@ TEST(TraceDeterminismTest, SpansNestAndCarryArgs) {
   check_balanced(json);
   EXPECT_NE(json.find("\"answer\": 42"), std::string::npos);
   EXPECT_NE(json.find("a\\\"b"), std::string::npos);
+  EXPECT_NE(json.find("deck\\ttitle"), std::string::npos);
   // inner's End precedes outer's End.
   const size_t inner_end = json.find("\"inner\", \"cat\": \"feio\", \"ph\": \"E\"");
   const size_t outer_end = json.find("\"outer\", \"cat\": \"feio\", \"ph\": \"E\"");

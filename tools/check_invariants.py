@@ -3,7 +3,7 @@
 
 The 1970 paper's bargain — the machine proves the input deck consistent
 before the batch run burns money — applied to this repository's own
-artifacts. Five contracts span source, docs and tooling, and every one has
+artifacts. Six contracts span source, docs and tooling, and every one has
 historically drifted in some codebase or other because nothing failed when
 it did. This checker makes the drift fail, in ctest and in CI's
 static-analysis job:
@@ -22,6 +22,11 @@ static-analysis job:
   lint-rules       L-XXX-NNN rule ids in src/lint/registry.cc  <->  the rule
                    tables in docs/LINTS.md (and stray ids elsewhere under
                    src/lint/ must be registered)
+  text-writer      every artifact under src/ is written through the one
+                   text writer (src/util/text.{h,cc}): no std::ostringstream,
+                   std::stringstream or (v)s(n)printf in code outside it
+                   (comments and string literals do not count;
+                   src/scenarios/solver_bench.cc is exempt until it goes)
 
 Usage:
   check_invariants.py [--root DIR]            check the tree (exit 1 on drift)
@@ -366,6 +371,45 @@ def check_lint_rules(root):
 
 
 # --------------------------------------------------------------------------
+# Check 6: one text writer.
+
+TEXT_WRITER_FILES = ("src/util/text.h", "src/util/text.cc")
+# The solver bench harness is slated for deletion with bench/ (ROADMAP
+# item 4); it keeps its stream until then.
+TEXT_WRITER_EXEMPT = ("src/scenarios/solver_bench.cc",)
+STREAM_OR_PRINTF_RX = re.compile(
+    r"\b(?:std::)?(o?stringstream|v?sn?printf)\b")
+# Char literals, string literals and comments, blanked before the scan so a
+# comment naming the old snprintf path is not a violation.
+NON_CODE_RX = re.compile(
+    r"'(?:\\.|[^'\\\n])*'|\"(?:\\.|[^\"\\\n])*\"|//[^\n]*|/\*.*?\*/", re.S)
+
+
+def code_only(text):
+    """`text` with comments and literals blanked, newlines and offsets kept."""
+    return NON_CODE_RX.sub(
+        lambda m: re.sub(r"[^\n]", " ", m.group(0)), text)
+
+
+def check_text_writer(root):
+    v = []
+    for path in source_files(root):
+        relpath = rel(root, path).replace(os.sep, "/")
+        if not relpath.startswith("src/"):
+            continue
+        if relpath in TEXT_WRITER_FILES or relpath in TEXT_WRITER_EXEMPT:
+            continue
+        code = code_only(read(path))
+        for m in STREAM_OR_PRINTF_RX.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            v.append(Violation(
+                "text-writer",
+                f"{m.group(1)} at {relpath}:{line}: write artifact text "
+                "through src/util/text.h (append_int, append_fixed, ...)"))
+    return v
+
+
+# --------------------------------------------------------------------------
 # Driver.
 
 CHECKS = {
@@ -374,6 +418,7 @@ CHECKS = {
     "observability": check_observability,
     "schema-versions": check_schemas,
     "lint-rules": check_lint_rules,
+    "text-writer": check_text_writer,
 }
 
 # Fixture directory name -> the check its seeded violation must trip.
@@ -384,6 +429,7 @@ FIXTURE_CHECKS = {
     "span_name": "observability",
     "schema_version": "schema-versions",
     "lint_rule": "lint-rules",
+    "text_writer": "text-writer",
 }
 
 
