@@ -2,17 +2,22 @@
 // semantics, dense-reference correctness of the blocked factorization on
 // band-shaped and ragged envelopes, random-SPD residual sweeps, bit-identity
 // across thread counts (small matrices and the benchmark-scale strip and
-// plate), the storage size report, and the factor cache's ordering keying.
+// plate), digests pinning the kernel's factor and solution bits, the
+// storage size report, and the factor cache's ordering keying.
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <random>
+#include <set>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "digest.h"
 #include "fem/assembly.h"
 #include "fem/factor_cache.h"
 #include "fem/material.h"
@@ -581,6 +586,103 @@ TEST(BandedDeterminismTest, EightThreadsBitIdenticalToSerial) {
   }
 }
 
+// ---- bit pins --------------------------------------------------------------
+//
+// FNV-1a-64 digests of the factor values and of one solution, as the kernel
+// computed them before its register-tiled inner loops. Every entry keeps
+// one documented summation order (lane q sums the terms k = q mod 4 in
+// ascending k, the lanes combine in a fixed tree), so a faster kernel must
+// reproduce these bits exactly. Like the gallery table's field.* rows they
+// are compared only on the table's toolchain (tests/digest.h).
+void expect_pinned(const SkylineMatrix& f, const std::vector<double>& x,
+                   const std::string& factor, const std::string& solution) {
+  const std::string tc = golden::toolchain();
+  if (tc != golden::table_toolchain()) {
+    std::printf("toolchain %s differs from the gallery table's: kernel bit "
+                "pins not compared\n",
+                tc.c_str());
+    return;
+  }
+  EXPECT_EQ(golden::digest(f.values()), factor) << "factor values";
+  EXPECT_EQ(golden::digest(x), solution) << "solution";
+}
+
+// The blocked path's panel shapes, from the structure rule in
+// SkylineMatrix::factorize: panel width B, and per panel the number of
+// candidate rows (rows right of the panel whose envelope reaches into it).
+struct PanelShapes {
+  int B = 0;
+  int last_width = 0;
+  std::set<int> candidate_tails;  // candidate-row counts mod 4
+  bool row_starts_mid_lane = false;
+};
+
+PanelShapes panel_shapes(const std::vector<int>& lows) {
+  const int n = static_cast<int>(lows.size());
+  std::int64_t profile = 0;
+  for (int i = 0; i < n; ++i) profile += i - lows[static_cast<size_t>(i)] + 1;
+  PanelShapes s;
+  s.B = std::max(8, std::min(64, static_cast<int>(profile / n) / 2));
+  s.last_width = n - (n - 1) / s.B * s.B;
+  for (int p0 = 0; p0 < n; p0 += s.B) {
+    const int p1 = std::min(n, p0 + s.B);
+    int rows = 0;
+    for (int i = p0; i < n; ++i) {
+      const int lo = lows[static_cast<size_t>(i)];
+      if (i >= p1 && lo < p1) ++rows;
+      if (lo < p1 && (std::max(p0, lo) - p0) % 4 != 0) {
+        s.row_starts_mid_lane = true;
+      }
+    }
+    s.candidate_tails.insert(rows % 4);
+  }
+  return s;
+}
+
+// Random ragged envelopes on the blocked path whose panels end in every
+// partial tile: candidate-row counts 1, 2 and 3 beyond a multiple of four,
+// panel widths (B, and the last panel's) that are not multiples of four,
+// and rows whose first panel column sits mid-lane.
+TEST(SkylinePinTest, RaggedEnvelopesFactorToPinnedBits) {
+  struct Pin {
+    int n;
+    int max_h;
+    const char* factor;
+    const char* solution;
+  };
+  const Pin pins[] = {
+      {193, 40, "dc285cd0bf3e119e", "be1933ecb0955028"},  // B = 9
+      {150, 54, "646d74347ce226af", "fe417faedd5ba601"},  // last width 6
+      {211, 70, "111926a4a9624065", "0abe27d22a08f502"},  // B = 15
+  };
+  std::set<int> tails;
+  bool odd_width = false;
+  bool mid_lane = false;
+  for (const Pin& pin : pins) {
+    std::mt19937 rng(static_cast<unsigned>(pin.n * 31 + pin.max_h));
+    const std::vector<int> lows = random_lows(pin.n, pin.max_h, rng);
+    const PanelShapes shapes = panel_shapes(lows);
+    tails.insert(shapes.candidate_tails.begin(), shapes.candidate_tails.end());
+    odd_width |= shapes.B % 4 != 0 || shapes.last_width % 4 != 0;
+    mid_lane |= shapes.row_starts_mid_lane;
+
+    SkylineMatrix f = random_spd_skyline(
+        lows, pin.max_h, static_cast<unsigned>(pin.n + 3 * pin.max_h));
+    ASSERT_GE(f.max_column_height(), 16) << "must take the blocked path";
+    std::vector<double> x(static_cast<size_t>(pin.n));
+    std::uniform_real_distribution<double> dist(-1.0, 1.0);
+    for (double& v : x) v = dist(rng);
+    f.factorize();
+    f.solve(x);
+    SCOPED_TRACE("n=" + std::to_string(pin.n) +
+                 " max_h=" + std::to_string(pin.max_h));
+    expect_pinned(f, x, pin.factor, pin.solution);
+  }
+  EXPECT_TRUE(tails.count(1) && tails.count(2) && tails.count(3));
+  EXPECT_TRUE(odd_width);
+  EXPECT_TRUE(mid_lane);
+}
+
 // ---- benchmark scale --------------------------------------------------------
 
 // serve's canonical cantilever: plane stress, E = 1000, nu = 0.3, the
@@ -651,9 +753,11 @@ idlz::IdlzCase plate_with_holes_case() {
 }
 
 // Solves the canonical cantilever on an RCM-ordered idealization at 1 and
-// 4 threads: the factors and solutions are bit-identical, and the relative
-// residual ||K u - f|| / ||f|| against an unfactorized copy of K is tiny.
-void expect_scale_solve(const idlz::IdlzCase& c) {
+// 4 threads: the factors and solutions are bit-identical and match their
+// pinned digests, and the relative residual ||K u - f|| / ||f|| against an
+// unfactorized copy of K is tiny.
+void expect_scale_solve(const idlz::IdlzCase& c, const std::string& factor,
+                        const std::string& solution) {
   RunOptions ro;
   ro.ordering = OrderingChoice::kRcm;
   const idlz::IdlzResult r = idlz::run(c, ro);
@@ -689,6 +793,7 @@ void expect_scale_solve(const idlz::IdlzCase& c) {
                       std::bit_cast<std::uint64_t>(u4[i]);
   }
   EXPECT_EQ(solution_diffs, 0u);
+  expect_pinned(f1, u1, factor, solution);
 
   std::vector<double> ku;
   k.multiply(u1, ku);
@@ -703,12 +808,14 @@ void expect_scale_solve(const idlz::IdlzCase& c) {
 
 TEST(SkylineScaleTest, StripCantileverResidualAndThreadIdentity) {
   // 60 x 150 cells: 18,422 dofs, a nearly full envelope.
-  expect_scale_solve(scenarios::strip_case(60, 150, 10));
+  expect_scale_solve(scenarios::strip_case(60, 150, 10), "90a9e3dc18cfef59",
+                     "e87b974dd35e13dc");
 }
 
 TEST(SkylineScaleTest, PlateWithHolesResidualAndThreadIdentity) {
   // 12,528 dofs; the holes leave the envelope about half the band.
-  expect_scale_solve(plate_with_holes_case());
+  expect_scale_solve(plate_with_holes_case(), "cc5399d740bae668",
+                     "7d8d5688cc32df06");
 }
 
 // ---- the size report and the solve path -------------------------------------

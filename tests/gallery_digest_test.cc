@@ -10,7 +10,6 @@
 // <build>/tests/gallery_digests.t<threads>.actual; to regenerate after an
 // intended output change, run this test and copy the 1-thread file over
 // the golden table (and say in CHANGES.md which rows changed and why).
-#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "digest.h"
 #include "feio/run_options.h"
 #include "idlz/idlz.h"
 #include "idlz/listing.h"
@@ -32,62 +32,10 @@
 namespace feio {
 namespace {
 
-#define FEIO_STR2(x) #x
-#define FEIO_STR(x) FEIO_STR2(x)
+using golden::digest;
+using golden::Fnv;
+using golden::toolchain;
 
-// Compiler, target and whether fused multiply-add may be contracted: the
-// facts that decide the bits of a floating-point field.
-std::string toolchain() {
-  std::string s;
-#if defined(__clang__)
-  s = "clang-" FEIO_STR(__clang_major__) "." FEIO_STR(
-      __clang_minor__) "." FEIO_STR(__clang_patchlevel__);
-#elif defined(__GNUC__)
-  s = "gcc-" FEIO_STR(__GNUC__) "." FEIO_STR(__GNUC_MINOR__) "." FEIO_STR(
-      __GNUC_PATCHLEVEL__);
-#else
-  s = "unknown-compiler";
-#endif
-#if defined(__x86_64__)
-  s += " x86_64";
-#elif defined(__aarch64__)
-  s += " aarch64";
-#else
-  s += " other-target";
-#endif
-#if defined(__FMA__)
-  s += " fma";
-#endif
-  return s;
-}
-
-class Fnv {
- public:
-  Fnv& bytes(const void* data, std::size_t n) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < n; ++i) {
-      h_ ^= p[i];
-      h_ *= 1099511628211ull;
-    }
-    return *this;
-  }
-  std::string hex() const {
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(h_));
-    return buf;
-  }
-
- private:
-  std::uint64_t h_ = 1469598103934665603ull;
-};
-
-std::string digest(const std::string& s) {
-  return Fnv().bytes(s.data(), s.size()).hex();
-}
-std::string digest(const std::vector<double>& v) {
-  return Fnv().bytes(v.data(), v.size() * sizeof(double)).hex();
-}
 std::string digest(const std::vector<geom::Vec2>& v) {
   Fnv f;
   for (const geom::Vec2& p : v) {
