@@ -50,21 +50,67 @@ double panel_dot(const double* a, const double* b, int k0, int k1) {
   return lane_sum(lo, hi);
 }
 
-// Four panel_dot(a, b[t], k0, k1) at once, sharing the loads of `a`; each
-// result is bit-identical to its panel_dot.
+// The tiles below compute several panel_dots at once, sharing loads. Each
+// result is bit-identical to its panel_dot. Every lane sum is a named
+// local: GCC at -O2 does not unroll a `for (t < 4)` loop over an array of
+// sums, which leaves the array on the stack and turns every multiply-add
+// into a load-add-store.
+
+// panel_dot(a, b[t], k0, k1) for t < 4, sharing the loads of `a`.
 void panel_dot4(const double* a, const double* const b[4], int k0, int k1,
                 double out[4]) {
-  Pair lo[4] = {};
-  Pair hi[4] = {};
+  const double* b0 = b[0];
+  const double* b1 = b[1];
+  const double* b2 = b[2];
+  const double* b3 = b[3];
+  Pair lo0 = {}, hi0 = {}, lo1 = {}, hi1 = {};
+  Pair lo2 = {}, hi2 = {}, lo3 = {}, hi3 = {};
   for (int k = k0; k < k1; k += kLanes) {
     const Pair alo = load_pair(a + k);
     const Pair ahi = load_pair(a + k + 2);
-    for (int t = 0; t < 4; ++t) {
-      lo[t] += alo * load_pair(b[t] + k);
-      hi[t] += ahi * load_pair(b[t] + k + 2);
-    }
+    lo0 += alo * load_pair(b0 + k);
+    hi0 += ahi * load_pair(b0 + k + 2);
+    lo1 += alo * load_pair(b1 + k);
+    hi1 += ahi * load_pair(b1 + k + 2);
+    lo2 += alo * load_pair(b2 + k);
+    hi2 += ahi * load_pair(b2 + k + 2);
+    lo3 += alo * load_pair(b3 + k);
+    hi3 += ahi * load_pair(b3 + k + 2);
   }
-  for (int t = 0; t < 4; ++t) out[t] = lane_sum(lo[t], hi[t]);
+  out[0] = lane_sum(lo0, hi0);
+  out[1] = lane_sum(lo1, hi1);
+  out[2] = lane_sum(lo2, hi2);
+  out[3] = lane_sum(lo3, hi3);
+}
+
+// panel_dot(a[r], b[c], k0, k1) for r, c < 2 into out[2 r + c]: a 2x2
+// register tile, one load per multiply-add (panel_dot4 needs 1.25).
+void panel_dot2x2(const double* a0, const double* a1, const double* b0,
+                  const double* b1, int k0, int k1, double out[4]) {
+  Pair lo00 = {}, hi00 = {}, lo01 = {}, hi01 = {};
+  Pair lo10 = {}, hi10 = {}, lo11 = {}, hi11 = {};
+  for (int k = k0; k < k1; k += kLanes) {
+    const Pair a0lo = load_pair(a0 + k);
+    const Pair a0hi = load_pair(a0 + k + 2);
+    const Pair a1lo = load_pair(a1 + k);
+    const Pair a1hi = load_pair(a1 + k + 2);
+    const Pair b0lo = load_pair(b0 + k);
+    const Pair b0hi = load_pair(b0 + k + 2);
+    lo00 += a0lo * b0lo;
+    hi00 += a0hi * b0hi;
+    lo10 += a1lo * b0lo;
+    hi10 += a1hi * b0hi;
+    const Pair b1lo = load_pair(b1 + k);
+    const Pair b1hi = load_pair(b1 + k + 2);
+    lo01 += a0lo * b1lo;
+    hi01 += a0hi * b1hi;
+    lo11 += a1lo * b1lo;
+    hi11 += a1hi * b1hi;
+  }
+  out[0] = lane_sum(lo00, hi00);
+  out[1] = lane_sum(lo01, hi01);
+  out[2] = lane_sum(lo10, hi10);
+  out[3] = lane_sum(lo11, hi11);
 }
 
 }  // namespace
@@ -270,16 +316,16 @@ void SkylineMatrix::factorize() {
     }
 
     // Solves buffer row b (matrix row i) against the panel's unit-lower
-    // rows for panel columns [first[b], stop): W(i,m) = A(i,m) - sum over
-    // k < m of W(i,k) L(m,k), then L(i,m) = W(i,m) / D(m), written back to
-    // the envelope. Columns left of the panel were already applied by
-    // earlier panels' trailing updates.
-    const auto solve_row = [&](int b, int i, int stop) {
+    // rows for panel columns [max(first[b], from), stop): W(i,m) = A(i,m) -
+    // sum over k < m of W(i,k) L(m,k), then L(i,m) = W(i,m) / D(m), written
+    // back to the envelope. Columns left of the panel were already applied
+    // by earlier panels' trailing updates.
+    const auto solve_row = [&](int b, int i, int from, int stop) {
       double* l = lrow(b);
       double* w = wrow(b);
       const int lo = first[static_cast<std::size_t>(b)];
       double* a = &slot(i, p0 + lo);
-      for (int m = lo; m < stop; ++m) {
+      for (int m = std::max(lo, from); m < stop; ++m) {
         const int k0 = std::max(lo, first[static_cast<std::size_t>(m)]);
         const double wm =
             a[m - lo] -
@@ -290,103 +336,144 @@ void SkylineMatrix::factorize() {
       }
     };
 
-    // Phase 1: diagonal block, serial, one row at a time.
-    for (int a = 0; a < width; ++a) {
-      const int j = p0 + a;
-      solve_row(a, j, a);
-      const int lo = first[static_cast<std::size_t>(a)];
-      const double d = slot(j, j) - panel_dot(wrow(a), lrow(a), floor_lanes(lo),
-                                              round_up_lanes(a));
-      pivot_check(d, j);
-      slot(j, j) = d;
-      diag[static_cast<std::size_t>(a)] = d;
-    }
-    if (nrows == 0) continue;
-
-    // Four candidate rows solved together: solve_row for each, sharing the
-    // loads of the panel rows. A row whose envelope starts right of column
-    // m has only zeros below m, so its sum is unchanged by the shared
-    // start and its entry is skipped.
-    const auto solve_rows4 = [&](int r) {
+    // Four buffer rows b0..b0+3 (matrix rows i4[t]) solved together for
+    // columns [first, stop): solve_row for each, sharing the loads of the
+    // panel rows, which must be finished. A row whose envelope starts
+    // right of column m has only zeros below m, so its sum is unchanged by
+    // the shared start and its entry is skipped.
+    const auto solve_rows4 = [&](int b0, const int* i4, int stop) {
       const double* w4[4];
       double* a4[4];
       int lo4[4];
-      int lo = width;
+      int lo = stop;
       for (int t = 0; t < 4; ++t) {
-        const int b = width + r + t;
-        w4[t] = wrow(b);
-        lo4[t] = first[static_cast<std::size_t>(b)];
-        a4[t] = &slot(rows[static_cast<std::size_t>(r + t)], p0 + lo4[t]);
+        w4[t] = wrow(b0 + t);
+        lo4[t] = first[static_cast<std::size_t>(b0 + t)];
+        a4[t] = &slot(i4[t], p0 + lo4[t]);
         lo = std::min(lo, lo4[t]);
       }
-      for (int m = lo; m < width; ++m) {
+      for (int m = lo; m < stop; ++m) {
         const int k0 = std::max(lo, first[static_cast<std::size_t>(m)]);
         double acc[4];
         panel_dot4(lrow(m), w4, floor_lanes(k0), round_up_lanes(m), acc);
         for (int t = 0; t < 4; ++t) {
           if (m < lo4[t]) continue;
-          const int b = width + r + t;
           const double wm = a4[t][m - lo4[t]] - acc[t];
-          wrow(b)[m] = wm;
-          lrow(b)[m] = wm / diag[static_cast<std::size_t>(m)];
-          a4[t][m - lo4[t]] = lrow(b)[m];
+          wrow(b0 + t)[m] = wm;
+          lrow(b0 + t)[m] = wm / diag[static_cast<std::size_t>(m)];
+          a4[t][m - lo4[t]] = lrow(b0 + t)[m];
         }
       }
     };
+
+    // Phase 1: diagonal block, serial, four rows at a time. A group's
+    // columns left of its first row need only finished rows, so they go
+    // through solve_rows4; its 4x4 triangle and pivots go row by row.
+    for (int g = 0; g < width; g += 4) {
+      int from = 0;  // a last group of one to three rows goes row by row
+      if (g + 4 <= width) {
+        const int i4[4] = {p0 + g, p0 + g + 1, p0 + g + 2, p0 + g + 3};
+        solve_rows4(g, i4, g);
+        from = g;
+      }
+      for (int a = g; a < std::min(width, g + 4); ++a) {
+        const int j = p0 + a;
+        solve_row(a, j, from, a);
+        const int lo = first[static_cast<std::size_t>(a)];
+        const double d = slot(j, j) - panel_dot(wrow(a), lrow(a),
+                                                floor_lanes(lo),
+                                                round_up_lanes(a));
+        pivot_check(d, j);
+        slot(j, j) = d;
+        diag[static_cast<std::size_t>(a)] = d;
+      }
+    }
+    if (nrows == 0) continue;
 
     // Phase 2: off-diagonal block row solve; rows are independent.
     util::parallel_chunks(
         nrows, util::chunk_count(nrows, 0),
         [&](int /*chunk*/, std::int64_t begin, std::int64_t stop) {
           auto r = static_cast<int>(begin);
-          for (; r + 4 <= stop; r += 4) solve_rows4(r);
+          for (; r + 4 <= stop; r += 4) {
+            solve_rows4(width + r, &rows[static_cast<std::size_t>(r)], width);
+          }
           for (; r < stop; ++r) {
-            solve_row(width + r, rows[static_cast<std::size_t>(r)], width);
+            solve_row(width + r, rows[static_cast<std::size_t>(r)], 0, width);
           }
         });
 
     // Phase 3: symmetric trailing update A(i,j) -= L(i,:) . W(j,:) for
     // every candidate pair j <= i, one writer per entry: items are rows i,
-    // so each item writes only its own row. Every affected (i, j) pair has
-    // both rows in the candidate list, and j >= low_i because
-    // low_i < p1 <= j.
+    // taken two at a time within a chunk, and write only their own rows.
+    // Every affected (i, j) pair has both rows in the candidate list, and
+    // j >= low_i because low_i < p1 <= j. A tile's shared start is a lane
+    // boundary at or below each of its entries' first non-zero term.
+    const auto row_entries = [&](int r) {  // [j] is entry (rows[r], j)
+      const int i = rows[static_cast<std::size_t>(r)];
+      return sky_.data() + start_[static_cast<std::size_t>(i)] -
+             low_[static_cast<std::size_t>(i)];
+    };
+    const auto lo_of = [&](int r) {  // candidate r's first panel column
+      return first[static_cast<std::size_t>(width + r)];
+    };
+    const auto entry_dot = [&](int r, int c) {  // L(rows[r],:) . W(rows[c],:)
+      return panel_dot(lrow(width + r), wrow(width + c),
+                       floor_lanes(std::max(lo_of(r), lo_of(c))), end);
+    };
+    // One row r: four columns at a time, then one.
+    const auto update_row = [&](int r) {
+      double* s = row_entries(r);
+      const double* li = lrow(width + r);
+      int c = 0;
+      for (; c + 4 <= r + 1; c += 4) {
+        const double* w4[4] = {wrow(width + c), wrow(width + c + 1),
+                               wrow(width + c + 2), wrow(width + c + 3)};
+        const int k0 = std::min(std::min(lo_of(c), lo_of(c + 1)),
+                                std::min(lo_of(c + 2), lo_of(c + 3)));
+        double acc[4];
+        panel_dot4(li, w4, floor_lanes(std::max(lo_of(r), k0)), end, acc);
+        for (int t = 0; t < 4; ++t) {
+          s[rows[static_cast<std::size_t>(c + t)]] -= acc[t];
+        }
+      }
+      for (; c <= r; ++c) {
+        s[rows[static_cast<std::size_t>(c)]] -= entry_dot(r, c);
+      }
+    };
+    // Rows r and r + 1 on 2x2 tiles over their shared columns c <= r; the
+    // odd columns left over go one entry at a time.
+    const auto update_rows2 = [&](int r) {
+      double* s0 = row_entries(r);
+      double* s1 = row_entries(r + 1);
+      const double* l0 = lrow(width + r);
+      const double* l1 = lrow(width + r + 1);
+      const int lo = std::min(lo_of(r), lo_of(r + 1));
+      int c = 0;
+      for (; c + 2 <= r + 1; c += 2) {
+        const int k0 = std::max(lo, std::min(lo_of(c), lo_of(c + 1)));
+        double acc[4];
+        panel_dot2x2(l0, l1, wrow(width + c), wrow(width + c + 1),
+                     floor_lanes(k0), end, acc);
+        const int j0 = rows[static_cast<std::size_t>(c)];
+        const int j1 = rows[static_cast<std::size_t>(c + 1)];
+        s0[j0] -= acc[0];
+        s0[j1] -= acc[1];
+        s1[j0] -= acc[2];
+        s1[j1] -= acc[3];
+      }
+      for (; c <= r + 1; ++c) {
+        const int j = rows[static_cast<std::size_t>(c)];
+        if (c <= r) s0[j] -= entry_dot(r, c);
+        s1[j] -= entry_dot(r + 1, c);
+      }
+    };
     util::parallel_chunks(
         nrows, util::chunk_count(nrows, 0),
         [&](int /*chunk*/, std::int64_t begin, std::int64_t stop) {
-          for (std::int64_t r = begin; r < stop; ++r) {
-            const int bi = width + static_cast<int>(r);
-            const int i = rows[static_cast<std::size_t>(r)];
-            // sky_[row_base + j] is entry (i, j) of row i's envelope.
-            const std::int64_t row_base = start_[static_cast<std::size_t>(i)] -
-                                          low_[static_cast<std::size_t>(i)];
-            const double* li = lrow(bi);
-            const int lo_i = first[static_cast<std::size_t>(bi)];
-            const int cols = static_cast<int>(r) + 1;
-            int c = 0;
-            for (; c + 4 <= cols; c += 4) {
-              const double* w4[4];
-              int k0 = end;
-              for (int t = 0; t < 4; ++t) {
-                const int bj = width + c + t;
-                w4[t] = wrow(bj);
-                k0 = std::min(k0, first[static_cast<std::size_t>(bj)]);
-              }
-              double acc[4];
-              panel_dot4(li, w4, floor_lanes(std::max(lo_i, k0)), end, acc);
-              for (int t = 0; t < 4; ++t) {
-                const int j = rows[static_cast<std::size_t>(c + t)];
-                sky_[static_cast<std::size_t>(row_base + j)] -= acc[t];
-              }
-            }
-            for (; c < cols; ++c) {
-              const int bj = width + c;
-              const int j = rows[static_cast<std::size_t>(c)];
-              const int k0 =
-                  std::max(lo_i, first[static_cast<std::size_t>(bj)]);
-              sky_[static_cast<std::size_t>(row_base + j)] -=
-                  panel_dot(li, wrow(bj), floor_lanes(k0), end);
-            }
-          }
+          auto r = static_cast<int>(begin);
+          for (; r + 2 <= stop; r += 2) update_rows2(r);
+          if (r < stop) update_row(r);
         });
   }
   factorized_ = true;
