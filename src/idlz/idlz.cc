@@ -16,8 +16,14 @@
 #include "util/trace.h"
 
 namespace feio::idlz {
+namespace {
 
-IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
+// The whole pipeline. With `punch_diags`, cards are punched through the
+// diagnosing overloads: a value too wide for its user FORMAT field becomes
+// E-PUNCH-001 there (pointing at the type-7 card) instead of a silently
+// corrupt card in the output.
+IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
+                      DiagSink* punch_diags) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedThreads threads_scope(opts.threads);
@@ -161,12 +167,27 @@ IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
   if (c.options.punch_output && opts.punch) {
     FEIO_TRACE_SPAN(span, "idlz.punch");
     FEIO_FAULT("idlz.punch");
-    r.nodal_cards = punch_nodal_cards(r.mesh, c.options.nodal_format);
-    r.element_cards = punch_element_cards(r.mesh, c.options.element_format);
+    if (punch_diags == nullptr) {
+      r.nodal_cards = punch_nodal_cards(r.mesh, c.options.nodal_format);
+      r.element_cards = punch_element_cards(r.mesh, c.options.element_format);
+    } else {
+      r.nodal_cards = punch_nodal_cards(
+          r.mesh, c.options.nodal_format, *punch_diags,
+          {c.deck_name, c.options.nodal_format_card, 0, 0});
+      r.element_cards = punch_element_cards(
+          r.mesh, c.options.element_format, *punch_diags,
+          {c.deck_name, c.options.element_format_card, 0, 0});
+    }
     FEIO_METRIC_ADD("idlz.cards_punched",
                     r.mesh.num_nodes() + r.mesh.num_elements());
   }
   return r;
+}
+
+}  // namespace
+
+IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
+  return run_stages(c, opts, nullptr);
 }
 
 std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
@@ -178,23 +199,14 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
   const std::string prefix =
       c.title.empty() ? std::string() : "set '" + c.title + "': ";
   try {
-    IdlzResult r = run(c, opts);
+    DiagSink punch_diags;
+    IdlzResult r = run_stages(c, opts, &punch_diags);
     if (opts.validate_mesh) {
       FEIO_TRACE_SPAN(span, "idlz.validate");
       mesh::validate(r.mesh).merge_into(sink);
     }
-    // Re-punch through the diagnosing overloads: a value too wide for its
-    // user FORMAT field becomes E-PUNCH-001 (pointing at the type-7 card)
-    // instead of a silently corrupt card in the output.
-    if (c.options.punch_output && opts.punch) {
-      FEIO_TRACE_SPAN(span, "idlz.punch_checked");
-      r.nodal_cards = punch_nodal_cards(
-          r.mesh, c.options.nodal_format, sink,
-          {c.deck_name, c.options.nodal_format_card, 0, 0});
-      r.element_cards = punch_element_cards(
-          r.mesh, c.options.element_format, sink,
-          {c.deck_name, c.options.element_format_card, 0, 0});
-    }
+    // Validation findings come first in the report, then the punch's.
+    sink.merge(punch_diags);
     return r;
   } catch (const ResourceError& e) {
     // Cancellation, admission-guard and injected-fault failures keep their

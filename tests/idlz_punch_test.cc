@@ -6,11 +6,16 @@
 #include <gtest/gtest.h>
 
 #include "cards/format.h"
+#include "feio/run_options.h"
 #include "idlz/deck.h"
 #include "idlz/idlz.h"
 #include "idlz/punch.h"
 #include "mesh/tri_mesh.h"
+#include "mesh/validate.h"
+#include "scenarios/scenarios.h"
 #include "util/diag.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace feio {
 namespace {
@@ -129,6 +134,56 @@ TEST(PunchDiagTest, RunCheckedReportsPunchOverflow) {
   EXPECT_EQ(punch->loc.card, 9);  // the element FORMAT card
   // The element cards were still produced (asterisk-filled where overflown).
   EXPECT_NE(r->element_cards.find("**"), std::string::npos);
+}
+
+// A traced checked run punches once: one idlz.punch span, one
+// idlz.cards_punched count, and the cards and E-PUNCH-001 records that the
+// diagnosing overloads give on the run's mesh, after its validation
+// findings. Figure 1 has 85 nodes and 136 elements, so I1 node numbers and
+// I2 element numbers overflow.
+TEST(PunchDiagTest, CheckedRunPunchesOnceUnderOneSpan) {
+  idlz::IdlzCase c = scenarios::fig01_glass_joint();
+  c.deck_name = "fig01.b";
+  c.options.punch_output = true;
+  c.options.nodal_format = "(2F9.5,51X,I3,5X,I1)";
+  c.options.element_format = "(3I5,62X,I2)";
+  c.options.nodal_format_card = 8;
+  c.options.element_format_card = 9;
+  util::Tracer tracer;
+  util::MetricsRegistry metrics;
+  RunOptions opts;
+  opts.tracer = &tracer;
+  opts.metrics = &metrics;
+  DiagSink sink;
+  const auto r = idlz::run_checked(c, sink, opts);
+  ASSERT_TRUE(r.has_value()) << sink.render_text();
+  ASSERT_EQ(r->mesh.num_nodes(), 85);
+  ASSERT_EQ(r->mesh.num_elements(), 136);
+
+  DiagSink want;
+  mesh::validate(r->mesh).merge_into(want);
+  EXPECT_EQ(r->nodal_cards,
+            idlz::punch_nodal_cards(r->mesh, c.options.nodal_format, want,
+                                    {"fig01.b", 8, 0, 0}));
+  EXPECT_EQ(r->element_cards,
+            idlz::punch_element_cards(r->mesh, c.options.element_format, want,
+                                      {"fig01.b", 9, 0, 0}));
+  EXPECT_EQ(sink.render_text(), want.render_text());
+  int overflows = 0;
+  for (const Diag& d : sink.diags()) overflows += d.code == "E-PUNCH-001";
+  EXPECT_EQ(overflows, 2) << sink.render_text();
+
+  const std::string trace = tracer.render_json();
+  const std::string punch_begin =
+      R"({"name": "idlz.punch", "cat": "feio", "ph": "B")";
+  int punch_spans = 0;
+  for (size_t at = trace.find(punch_begin); at != std::string::npos;
+       at = trace.find(punch_begin, at + 1)) {
+    ++punch_spans;
+  }
+  EXPECT_EQ(punch_spans, 1);
+  EXPECT_EQ(trace.find("punch_checked"), std::string::npos);
+  EXPECT_EQ(metrics.snapshot().counters["idlz.cards_punched"], 85 + 136);
 }
 
 }  // namespace
