@@ -140,7 +140,6 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
       error = util::kThreadsFlagError;
       return FlagStatus::kError;
     }
-    opts.threads_set = true;
     return FlagStatus::kOk;
   }
   if (a == "--fault") {

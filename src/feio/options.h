@@ -27,10 +27,8 @@ namespace feio::api {
 
 // The parsed shared flags, defaults matching the historical CLI.
 struct CommonOptions {
-  // --threads N|all; threads_set records an explicit flag (bench uses it
-  // to distinguish "default" from "asked for 1").
+  // --threads N|all
   int threads = 1;
-  bool threads_set = false;
 
   // --out DIR
   std::string out_dir = "out";
@@ -98,8 +96,8 @@ bool parse_tenant_spec(const std::string& spec, serve::TenantConfig& out,
                        std::string& error);
 
 // The RunOptions a direct pipeline command (idlz/ospl/check/lint) should
-// pass to run_idlz/run_ospl. `threads` stays 0: the front end pins the
-// process default once, and per-deck workers must not race on re-pinning.
+// pass to run_idlz/run_ospl. --threads is not carried: the front end pins
+// the process default once, and only the deck batches read it.
 RunOptions run_options(const CommonOptions& opts);
 
 // The ServeOptions for this invocation: queue, deadline, guard overrides,

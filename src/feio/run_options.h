@@ -31,10 +31,10 @@ enum class OrderingChoice {
 // behavior the two-argument overloads always had", so
 // run_checked(c, sink, RunOptions{}) is exactly run_checked(c, sink).
 struct RunOptions {
-  // Worker threads for the parallel stages: 0 = the process default
-  // (util::default_threads()), >= 1 explicit, < 0 all hardware threads.
-  // Scoped to the call by adjusting the process default; concurrent runs
-  // should pass the same value (the CLI does).
+  // No stage reads this: every pipeline stage runs serially on the
+  // calling thread, and threads exist only in feio serve's job pool and the
+  // CLI's deck batches (util/parallel.h). Kept only because perfbench/
+  // sets it.
   int threads = 0;
 
   // Observability sinks, both optional. Installed (scoped) as the process

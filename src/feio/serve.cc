@@ -261,7 +261,6 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
 
   RunOptions ro;
   ro.cancel = cancel;
-  ro.threads = 1;  // one lane per job; the pool provides the concurrency
   ro.make_plots = false;
   ro.punch = false;
   ro.factor_cache = factor_cache;  // consulted by the "solve" pipeline only

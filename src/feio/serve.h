@@ -73,9 +73,8 @@ struct TenantConfig {
 
 struct ServeOptions {
   // Worker threads for the job pool: 0 = the process default, < 0 = all
-  // hardware threads. Each job runs single-threaded on its worker (nested
-  // parallelism from a worker is serial by design), so this is the number
-  // of concurrent jobs.
+  // hardware threads. Every pipeline stage is serial, so each job runs on
+  // its one worker and this is the number of concurrent jobs.
   int threads = 0;
 
   // Session-wide admission bound: jobs admitted but not yet finished,

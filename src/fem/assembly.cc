@@ -5,10 +5,10 @@
 #include <numbers>
 
 #include "mesh/bandwidth.h"
+#include "util/cancel.h"
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/guard.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace feio::fem {
@@ -86,48 +86,31 @@ int StaticProblem::dof_half_bandwidth() const {
 
 namespace {
 
-// The element-stiffness loop. Each chunk of elements fills a private COO
-// scratch (21 lower-triangle entries per CST), and the chunks are merged in
-// chunk order — which is exactly ascending element order, so the
-// accumulated sums are bitwise identical to a serial sweep at any thread
-// count.
+// The element-stiffness loop: each CST's 21 lower-triangle entries are
+// added straight into the envelope (allocated from the structure before
+// assembly starts), in ascending element order.
 void assemble_stiffness(const StaticProblem& p, SkylineMatrix& k) {
-  struct Entry {
-    int r, c;
-    double v;
-  };
   const mesh::TriMesh& mesh = p.mesh();
   const int ne = mesh.num_elements();
-  const int chunks = util::chunk_count(ne, 0);
-  std::vector<std::vector<Entry>> scratch(static_cast<size_t>(chunks));
-  util::parallel_chunks(
-      ne, chunks, [&](int chunk, std::int64_t begin, std::int64_t end) {
-        std::vector<Entry>& out = scratch[static_cast<size_t>(chunk)];
-        out.reserve(static_cast<size_t>(end - begin) * 21);
-        for (std::int64_t e64 = begin; e64 < end; ++e64) {
-          const int e = static_cast<int>(e64);
-          const DMatrix d = constitutive(p.material_of(e), p.analysis());
-          const ElementMatrices em =
-              cst_matrices(mesh, e, d, p.analysis(), p.thickness());
-          const mesh::Element& el = mesh.element(e);
-          std::array<int, 6> dof{};
-          for (int i = 0; i < 3; ++i) {
-            dof[static_cast<size_t>(2 * i)] = 2 * el.n[static_cast<size_t>(i)];
-            dof[static_cast<size_t>(2 * i + 1)] =
-                2 * el.n[static_cast<size_t>(i)] + 1;
-          }
-          for (int r = 0; r < 6; ++r) {
-            for (int c = 0; c <= r; ++c) {
-              out.push_back(
-                  Entry{dof[static_cast<size_t>(r)],
-                        dof[static_cast<size_t>(c)],
-                        em.k[static_cast<size_t>(r)][static_cast<size_t>(c)]});
-            }
-          }
-        }
-      });
-  for (const std::vector<Entry>& out : scratch) {
-    for (const Entry& en : out) k.add(en.r, en.c, en.v);
+  for (int e = 0; e < ne; ++e) {
+    // Coarse cancel granularity: one thread-local load per 512 elements.
+    if ((e & 511) == 0) FEIO_CHECK_CANCEL("fem.assemble.element");
+    const DMatrix d = constitutive(p.material_of(e), p.analysis());
+    const ElementMatrices em =
+        cst_matrices(mesh, e, d, p.analysis(), p.thickness());
+    const mesh::Element& el = mesh.element(e);
+    std::array<int, 6> dof{};
+    for (int i = 0; i < 3; ++i) {
+      dof[static_cast<size_t>(2 * i)] = 2 * el.n[static_cast<size_t>(i)];
+      dof[static_cast<size_t>(2 * i + 1)] =
+          2 * el.n[static_cast<size_t>(i)] + 1;
+    }
+    for (int r = 0; r < 6; ++r) {
+      for (int c = 0; c <= r; ++c) {
+        k.add(dof[static_cast<size_t>(r)], dof[static_cast<size_t>(c)],
+              em.k[static_cast<size_t>(r)][static_cast<size_t>(c)]);
+      }
+    }
   }
 }
 
@@ -170,49 +153,33 @@ void StaticProblem::assemble_unconstrained(SkylineMatrix& k,
 void StaticProblem::assemble_load_rhs(std::vector<double>& rhs) const {
   rhs.assign(static_cast<size_t>(num_dofs()), 0.0);
 
-  // Equivalent nodal loads of the thermal strain: f = w * B^T D eps_th.
-  // Same per-chunk scratch / in-order merge scheme as the stiffness loop.
+  // Equivalent nodal loads of the thermal strain: f = w * B^T D eps_th,
+  // added element by element in ascending element order.
   if (!temperature_.empty()) {
-    struct Load {
-      int dof;
-      double f;
-    };
-    const int ne = mesh_->num_elements();
-    const int chunks = util::chunk_count(ne, 0);
-    std::vector<std::vector<Load>> scratch(static_cast<size_t>(chunks));
-    util::parallel_chunks(
-        ne, chunks, [&](int chunk, std::int64_t begin, std::int64_t end) {
-          std::vector<Load>& out = scratch[static_cast<size_t>(chunk)];
-          for (std::int64_t e64 = begin; e64 < end; ++e64) {
-            const int e = static_cast<int>(e64);
-            const double eth = element_thermal_strain(e);
-            if (eth == 0.0) continue;
-            const DMatrix d = constitutive(material_of(e), analysis_);
-            const ElementMatrices em =
-                cst_matrices(*mesh_, e, d, analysis_, thickness_);
-            // Isotropic expansion: eps_th = eth in the three normal
-            // components.
-            std::array<double, 4> deps{};
-            for (int r = 0; r < 4; ++r) {
-              deps[static_cast<size_t>(r)] =
-                  (d[static_cast<size_t>(r)][0] + d[static_cast<size_t>(r)][1] +
-                   d[static_cast<size_t>(r)][2]) *
-                  eth;
-            }
-            const mesh::Element& el = mesh_->element(e);
-            for (int c = 0; c < 6; ++c) {
-              double f = 0.0;
-              for (int r = 0; r < 4; ++r) {
-                f += em.b[static_cast<size_t>(r)][static_cast<size_t>(c)] *
-                     deps[static_cast<size_t>(r)];
-              }
-              const int dof = 2 * el.n[static_cast<size_t>(c / 2)] + (c % 2);
-              out.push_back(Load{dof, f * em.weight});
-            }
-          }
-        });
-    for (const std::vector<Load>& out : scratch) {
-      for (const Load& ld : out) rhs[static_cast<size_t>(ld.dof)] += ld.f;
+    for (int e = 0; e < mesh_->num_elements(); ++e) {
+      const double eth = element_thermal_strain(e);
+      if (eth == 0.0) continue;
+      const DMatrix d = constitutive(material_of(e), analysis_);
+      const ElementMatrices em =
+          cst_matrices(*mesh_, e, d, analysis_, thickness_);
+      // Isotropic expansion: eps_th = eth in the three normal components.
+      std::array<double, 4> deps{};
+      for (int r = 0; r < 4; ++r) {
+        deps[static_cast<size_t>(r)] =
+            (d[static_cast<size_t>(r)][0] + d[static_cast<size_t>(r)][1] +
+             d[static_cast<size_t>(r)][2]) *
+            eth;
+      }
+      const mesh::Element& el = mesh_->element(e);
+      for (int c = 0; c < 6; ++c) {
+        double f = 0.0;
+        for (int r = 0; r < 4; ++r) {
+          f += em.b[static_cast<size_t>(r)][static_cast<size_t>(c)] *
+               deps[static_cast<size_t>(r)];
+        }
+        const int dof = 2 * el.n[static_cast<size_t>(c / 2)] + (c % 2);
+        rhs[static_cast<size_t>(dof)] += f * em.weight;
+      }
     }
   }
 

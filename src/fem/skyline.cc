@@ -11,7 +11,6 @@
 #include "util/fault.h"
 #include "util/guard.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace feio::fem {
@@ -22,7 +21,7 @@ namespace {
 // fixed tree. Panel rows are zero-padded on both sides, so a range may
 // start at any lane boundary at or below its first non-zero term — the
 // extra terms add exact zeros — and an entry's value depends only on the
-// data, never on which rows share a chunk or a thread.
+// data, never on which rows share a tile.
 constexpr int kLanes = 4;
 
 int floor_lanes(int k) { return k - k % kLanes; }
@@ -224,10 +223,9 @@ void SkylineMatrix::factorize() {
                      " (structure under-constrained or matrix indefinite)");
   };
 
-  // Shallow envelopes take the serial left-looking row sweep — nothing to
-  // amortize a panel over. The choice depends ONLY on the structure
-  // (max column height), never the thread count, so a given matrix always
-  // takes the same code path and factors bit-identically at any setting.
+  // Shallow envelopes take the left-looking row sweep — nothing to
+  // amortize a panel over. The choice depends only on the structure (max
+  // column height), so a given matrix always takes the same code path.
   if (max_height_ < 16) {
     for (int i = 0; i < n_; ++i) {
       if ((i & 127) == 0) FEIO_CHECK_CANCEL("fem.factorize.column");
@@ -390,25 +388,20 @@ void SkylineMatrix::factorize() {
     }
     if (nrows == 0) continue;
 
-    // Phase 2: off-diagonal block row solve; rows are independent.
-    util::parallel_chunks(
-        nrows, util::chunk_count(nrows, 0),
-        [&](int /*chunk*/, std::int64_t begin, std::int64_t stop) {
-          auto r = static_cast<int>(begin);
-          for (; r + 4 <= stop; r += 4) {
-            solve_rows4(width + r, &rows[static_cast<std::size_t>(r)], width);
-          }
-          for (; r < stop; ++r) {
-            solve_row(width + r, rows[static_cast<std::size_t>(r)], 0, width);
-          }
-        });
+    // Phase 2: off-diagonal block row solve, four candidate rows at a time.
+    const int quads = nrows - nrows % 4;
+    for (int r = 0; r < quads; r += 4) {
+      solve_rows4(width + r, &rows[static_cast<std::size_t>(r)], width);
+    }
+    for (int r = quads; r < nrows; ++r) {
+      solve_row(width + r, rows[static_cast<std::size_t>(r)], 0, width);
+    }
 
     // Phase 3: symmetric trailing update A(i,j) -= L(i,:) . W(j,:) for
-    // every candidate pair j <= i, one writer per entry: items are rows i,
-    // taken two at a time within a chunk, and write only their own rows.
-    // Every affected (i, j) pair has both rows in the candidate list, and
-    // j >= low_i because low_i < p1 <= j. A tile's shared start is a lane
-    // boundary at or below each of its entries' first non-zero term.
+    // every candidate pair j <= i. Every affected (i, j) pair has both rows
+    // in the candidate list, and j >= low_i because low_i < p1 <= j. A
+    // tile's shared start is a lane boundary at or below each of its
+    // entries' first non-zero term.
     const auto row_entries = [&](int r) {  // [j] is entry (rows[r], j)
       const int i = rows[static_cast<std::size_t>(r)];
       return sky_.data() + start_[static_cast<std::size_t>(i)] -
@@ -468,13 +461,10 @@ void SkylineMatrix::factorize() {
         s1[j] -= entry_dot(r + 1, c);
       }
     };
-    util::parallel_chunks(
-        nrows, util::chunk_count(nrows, 0),
-        [&](int /*chunk*/, std::int64_t begin, std::int64_t stop) {
-          auto r = static_cast<int>(begin);
-          for (; r + 2 <= stop; r += 2) update_rows2(r);
-          if (r < stop) update_row(r);
-        });
+    // Rows 0-1, 2-3, ... on 2x2 tiles; an odd last row goes on 1x4 tiles.
+    const int pairs = nrows - nrows % 2;
+    for (int r = 0; r < pairs; r += 2) update_rows2(r);
+    if (pairs < nrows) update_row(pairs);
   }
   factorized_ = true;
 }

@@ -8,9 +8,9 @@
 // paper's bandwidth renumbering (claim C6) still pays off here: RCM shrinks
 // the envelope along with the band.
 //
-// The factorization is blocked and deterministic: the panel partition and
-// every entry's update-sum order depend only on the matrix structure, never
-// the thread count, so factors are bit-identical at any thread setting.
+// The factorization is blocked, serial and deterministic: the panel
+// partition and every entry's update-sum order depend only on the matrix
+// structure, so factors are bit-identical at any thread setting.
 // Cancel, guard, and fault sites: fem.alloc, fem.factorize.column/panel.
 #pragma once
 

@@ -6,9 +6,9 @@
 #include "fem/factor_cache.h"
 #include "fem/skyline.h"
 #include "mesh/bandwidth.h"
+#include "util/cancel.h"
 #include "util/guard.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace feio::fem {
@@ -89,9 +89,9 @@ StoragePrediction predict_storage(const StaticProblem& problem) {
 }
 
 StaticSolution solve(const StaticProblem& problem, const RunOptions& opts) {
-  util::ScopedThreads threads(opts.threads);
   util::ScopedTracerInstall tracer(opts.tracer);
   util::ScopedMetricsInstall metrics(opts.metrics);
+  util::ScopedCancel cancel(opts.cancel);
   if (opts.factor_cache != nullptr) {
     return solve_cached(problem, *opts.factor_cache);
   }

@@ -34,14 +34,14 @@ struct StoragePrediction {
 StoragePrediction predict_storage(const StaticProblem& problem);
 
 // Assembles, applies constraints, factorizes (envelope LDL^T) and solves
-// under a RunOptions block: `threads` scopes the thread count for the
-// parallel assembly/factorization stages, and the tracer/metrics sinks are
-// installed for the duration of the call (spans fem.assemble,
-// fem.factorize, fem.solve). When opts.factor_cache is set, the solve
-// consults the factorized-stiffness LRU first (fem/factor_cache.h): a hit
-// skips assembly and factorization entirely and a successful cold solve
-// populates the cache. Output is byte-identical at any thread count,
-// cached or cold. Throws feio::Error on singular systems.
+// serially under a RunOptions block: the tracer/metrics sinks and the
+// cancel token are installed for the duration of the call (spans
+// fem.assemble, fem.factorize, fem.solve), and an expired token throws
+// util::Cancelled at the next assembly or factorization check. When
+// opts.factor_cache is set, the solve consults the factorized-stiffness
+// LRU first (fem/factor_cache.h): a hit skips assembly and factorization
+// entirely and a successful cold solve populates the cache. Output is
+// byte-identical cached or cold. Throws feio::Error on singular systems.
 StaticSolution solve(const StaticProblem& problem, const RunOptions& opts);
 
 }  // namespace feio::fem

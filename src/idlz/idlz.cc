@@ -11,7 +11,6 @@
 #include "util/cancel.h"
 #include "util/fault.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/text.h"
 #include "util/trace.h"
 
@@ -26,7 +25,6 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
                       DiagSink* punch_diags) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
 
   FEIO_TRACE_SPAN(run_span, "idlz.run");
@@ -194,7 +192,6 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
                                       const RunOptions& opts) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
   const std::string prefix =
       c.title.empty() ? std::string() : "set '" + c.title + "': ";

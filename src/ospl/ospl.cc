@@ -12,7 +12,6 @@
 #include "util/fault.h"
 #include "util/guard.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/text.h"
 #include "util/trace.h"
 
@@ -36,7 +35,6 @@ std::string interval_caption(double delta) {
 OsplResult run(const OsplCase& c, const RunOptions& opts) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
 
   FEIO_TRACE_SPAN(run_span, "ospl.run");
@@ -162,7 +160,6 @@ std::optional<OsplResult> run_checked(const OsplCase& c, DiagSink& sink,
                                       const RunOptions& opts) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
-  util::ScopedThreads threads_scope(opts.threads);
   util::ScopedCancel cancel_scope(opts.cancel);
   if (opts.validate_mesh) {
     FEIO_TRACE_SPAN(span, "ospl.validate");

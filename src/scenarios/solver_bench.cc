@@ -40,12 +40,16 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-template <typename Fn>
-double time_min_ms(int reps, Fn&& fn) {
+// Min over `reps` runs of the wall time of work(input). Each run's input
+// comes from make() before the clock starts, and the result is freed after
+// it stops.
+template <typename Make, typename Work>
+double time_min_ms(int reps, const Make& make, const Work& work) {
   double best = std::numeric_limits<double>::infinity();
   for (int r = 0; r < reps; ++r) {
+    auto input = make();
     const Clock::time_point start = Clock::now();
-    fn();
+    const auto result = work(input);
     best = std::min(best, ms_since(start));
   }
   return best;
@@ -175,24 +179,24 @@ struct Measurement {
   bool identical = false;
 };
 
-// `work` must be a pure function of the process-default thread count and
-// return its result. Only work() is timed; the serial and parallel results
-// are compared outside the timed loops.
-template <typename Fn>
-Measurement measure(int reps, int threads, Fn&& work) {
+// `work(input)` must be a pure function of its input from make() and
+// return its result. Only work() is timed; building each input and
+// comparing the two arms' results happen outside the clock. Every stage is
+// serial, so the two arms time the same code at two settings of the
+// process-default thread count.
+template <typename Make, typename Work>
+Measurement measure(int reps, int threads, const Make& make,
+                    const Work& work) {
+  const auto run_arm = [&](int arm_threads, double& ms) {
+    util::ScopedThreads guard(arm_threads);
+    auto input = make();
+    std::vector<double> result = work(input);  // warm-up + result
+    ms = time_min_ms(reps, make, work);
+    return result;
+  };
   Measurement m;
-  std::vector<double> serial;
-  std::vector<double> parallel;
-  {
-    util::ScopedThreads guard(1);
-    serial = work();  // warm-up + result
-    m.serial_ms = time_min_ms(reps, [&] { work(); });
-  }
-  {
-    util::ScopedThreads guard(threads);
-    parallel = work();
-    m.parallel_ms = time_min_ms(reps, [&] { work(); });
-  }
+  const std::vector<double> serial = run_arm(1, m.serial_ms);
+  const std::vector<double> parallel = run_arm(threads, m.parallel_ms);
   m.identical = bits_equal(serial, parallel);
   return m;
 }
@@ -228,6 +232,7 @@ std::string SolverBenchReport::render_json() const {
         << ", \"node_bw\": " << c.node_bw
         << ", \"band_bytes\": " << c.band_bytes
         << ", \"skyline_bytes\": " << c.skyline_bytes
+        << ", \"work\": " << c.work
         << ", \"serial_ms\": " << c.serial_ms
         << ", \"parallel_ms\": " << c.parallel_ms
         << ", \"speedup\": " << c.speedup
@@ -279,7 +284,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
   report.hardware_threads = util::hardware_threads();
   report.threads = threads <= 0 ? report.hardware_threads : threads;
   report.quick = quick;
-  report.repetitions = quick ? 2 : 3;
+  report.repetitions = quick ? 5 : 3;
 
   for (BenchMesh& bm : bench_meshes(quick)) {
     for (const bool rcm : {false, true}) {
@@ -296,6 +301,12 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
       // Big systems repeat once: the factor dominates and the min-of-reps
       // guard matters less than the wall-clock budget.
       const int reps = n > 200000 ? 1 : report.repetitions;
+      const std::vector<int> lows = prob.dof_skyline_lows();
+      std::int64_t work = 0;
+      for (int i = 0; i < n; ++i) {
+        const std::int64_t h = i - lows[static_cast<std::size_t>(i)] + 1;
+        work += h * h;
+      }
 
       auto push = [&](const char* stage, const Measurement& meas,
                       bool skipped) {
@@ -309,6 +320,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
         c.node_bw = node_bw;
         c.band_bytes = pred.band_bytes;
         c.skyline_bytes = pred.skyline_bytes;
+        c.work = work;
         c.serial_ms = meas.serial_ms;
         c.parallel_ms = meas.parallel_ms;
         c.speedup = skipped ? 0.0
@@ -319,57 +331,51 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
         report.cases.push_back(std::move(c));
       };
 
-      const std::vector<int> lows = prob.dof_skyline_lows();
-      std::int64_t flops = 0;
-      for (int i = 0; i < n; ++i) {
-        const std::int64_t h = i - lows[static_cast<std::size_t>(i)] + 1;
-        flops += h * h;
-      }
       const bool fits = pred.skyline_bytes <= kStorageBytesCap &&
-                        flops <= (quick ? kFlopsCapQuick : kFlopsCapFull);
+                        work <= (quick ? kFlopsCapQuick : kFlopsCapFull);
       if (!fits) {
         push("assemble", {}, true);
         push("factor_solve", {}, true);
         continue;
       }
 
-      // Stage 1: parallel element assembly into the problem's envelope.
+      // Stage 1: element assembly into a fresh zeroed envelope.
       push("assemble",
-           measure(reps, report.threads,
-                   [&] {
-                     fem::SkylineMatrix k(lows);
-                     std::vector<double> rhs;
-                     prob.assemble(k, rhs);
-                     return rhs;
-                   }),
+           measure(
+               reps, report.threads, [&] { return fem::SkylineMatrix(lows); },
+               [&](fem::SkylineMatrix& k) {
+                 std::vector<double> rhs;
+                 prob.assemble(k, rhs);
+                 return rhs;
+               }),
            false);
 
-      // Stage 2: blocked factorize + solve. Assembly runs outside the
-      // timed lambda: each rep factorizes a fresh copy.
-      fem::SkylineMatrix k0(lows);
-      std::vector<double> rhs0;
-      prob.assemble(k0, rhs0);
+      // Stage 2: blocked factorize + solve of a fresh copy of the
+      // assembled system.
+      struct System {
+        fem::SkylineMatrix k;
+        std::vector<double> rhs;
+      };
+      System assembled{fem::SkylineMatrix(lows), {}};
+      prob.assemble(assembled.k, assembled.rhs);
       push("factor_solve",
-           measure(reps, report.threads,
-                   [&] {
-                     fem::SkylineMatrix k = k0;
-                     std::vector<double> rhs = rhs0;
-                     k.factorize();
-                     k.solve(rhs);
-                     return rhs;
-                   }),
+           measure(
+               reps, report.threads, [&] { return assembled; },
+               [](System& sys) {
+                 sys.k.factorize();
+                 sys.k.solve(sys.rhs);
+                 return std::move(sys.rhs);
+               }),
            false);
     }
   }
 
   // One metered solve of the plate mesh outside the timed loops supplies
-  // the metrics snapshot: fem.factorize.panels, fem.static_solves,
-  // parallel.*.
+  // the metrics snapshot: fem.factorize.panels, fem.static_solves.
   {
     const mesh::TriMesh m = quick ? plate_with_holes(96) : plate_with_holes(400);
     util::MetricsRegistry metrics;
     RunOptions opts;
-    opts.threads = report.threads;
     opts.metrics = &metrics;
     fem::solve(make_problem(m), opts);
     report.metrics_json = metrics.render_body_json(4);

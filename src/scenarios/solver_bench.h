@@ -2,16 +2,17 @@
 // path. For every bench mesh (IDLZ strips plus a plate-with-holes geometry
 // whose webs blow the band up while keeping the envelope thin) and every
 // node ordering (none = generation order, RCM), the harness measures
-// element assembly and blocked envelope factorize+solve, serial versus N
-// threads, and records the band and envelope byte counts. This closes the
+// element assembly and blocked envelope factorize+solve, and records the
+// band and envelope byte counts and the LDL^T work. This closes the
 // paper's bandwidth claim (C6): the renumbering pass shrinks the envelope
 // the solver pays for.
 //
-// Every measurement byte-compares the parallel result against the serial
-// one (`identical`), so the perf numbers double as a determinism check;
-// the comparison runs outside the timed region. A cell whose factor would
-// exceed the harness byte or flop caps is reported with `skipped` = true
-// rather than silently dropped. The JSON rendering is a feio.report/1
+// Assembly and the factorization are serial, so the "serial" (1 thread)
+// and "parallel" (N threads) arms time the same code. Every measurement
+// byte-compares the two arms' results (`identical`) outside the timed
+// region, which holds only the work itself. A cell whose factor
+// would exceed the harness byte or flop caps is reported with `skipped` =
+// true rather than silently dropped. The JSON rendering is a feio.report/1
 // envelope of kind "bench" whose payload is schema-stable
 // ("feio.bench.solver/3", see docs/BENCHMARKS.md): fields may be added,
 // never renamed or removed.
@@ -33,6 +34,9 @@ struct SolverBenchCase {
   int node_bw = 0;         // nodal bandwidth under this ordering
   std::int64_t band_bytes = 0;     // band of the half-bandwidth: n*(hbw+1)*8
   std::int64_t skyline_bytes = 0;  // the factor's envelope bytes
+  // Exact LDL^T work model: the sum of squared dof column heights, which
+  // the flop caps compare against. Structure-only, so it is deterministic.
+  std::int64_t work = 0;
   double serial_ms = 0.0;
   double parallel_ms = 0.0;
   double speedup = 0.0;    // serial_ms / parallel_ms

@@ -14,7 +14,7 @@
 //     the token is cancelled or past its deadline.
 //   - The token reaches deep loops the same way the tracer does: a
 //     thread-local "current" pointer installed by ScopedCancel (plumbed from
-//     feio::RunOptions by the pipeline entry points). util::parallel_chunks
+//     feio::RunOptions by the pipeline entry points). ThreadPool::run_chunks
 //     re-installs the submitting thread's token on whichever worker executes
 //     each chunk and checks it at every chunk boundary, so cancellation
 //     works identically at any thread count.
@@ -77,7 +77,7 @@ class CancelToken {
 // Installs `t` as the calling thread's current token for the scope; restores
 // the previous token on destruction. A null `t` is a no-op (the surrounding
 // token, if any, stays current) — this lets RunOptions plumbing install
-// unconditionally. util::parallel_chunks uses the same scope to carry the
+// unconditionally. ThreadPool::run_chunks uses the same scope to carry the
 // submitting thread's token onto pool workers per chunk.
 class ScopedCancel {
  public:

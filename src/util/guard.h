@@ -65,8 +65,8 @@ struct GuardOverrides {
 };
 
 // Installs `g` as the calling thread's limits for the scope; restores the
-// previous limits on destruction. Null is a no-op. parallel_chunks carries
-// the submitting thread's limits onto pool workers per chunk.
+// previous limits on destruction. Null is a no-op. ThreadPool::run_chunks
+// carries the submitting thread's limits onto pool workers per chunk.
 class ScopedGuard {
  public:
   explicit ScopedGuard(const GuardLimits* g);

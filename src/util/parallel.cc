@@ -9,8 +9,6 @@
 #include "util/error.h"
 #include "util/fault.h"
 #include "util/guard.h"
-#include "util/metrics.h"
-#include "util/trace.h"
 
 namespace feio::util {
 namespace {
@@ -134,23 +132,13 @@ void ThreadPool::run_chunks(std::int64_t n, int chunks,
   const GuardLimits* guard = current_guard();
   detail::FaultSet* faults = FaultScope::current();
 
-  // Chunk-boundary observability: each chunk gets a span on whatever
-  // thread (worker or submitter) executes it, plus scheduling metrics.
-  // Costs one atomic load per chunk when tracing/metrics are off; chunks
-  // are coarse, so this stays under the bench regression budget.
-  const ChunkBody traced_body = [&body, cancel, guard, faults](
-                                    int c, std::int64_t begin,
-                                    std::int64_t end) {
+  const ChunkBody inherit_body = [&body, cancel, guard, faults](
+                                     int c, std::int64_t begin,
+                                     std::int64_t end) {
     ScopedCancel inherit_cancel(cancel);
     ScopedGuard inherit_guard(guard);
     ScopedFaultInherit inherit_faults(faults);
     if (cancel != nullptr) cancel->check("parallel.chunk");
-    FEIO_TRACE_SPAN(span, "parallel.chunk");
-    span.arg("chunk", c);
-    span.arg("items", end - begin);
-    FEIO_METRIC_ADD("parallel.chunks", 1);
-    FEIO_METRIC_RECORD("parallel.chunk_items",
-                       static_cast<double>(end - begin));
     body(c, begin, end);
   };
 
@@ -161,8 +149,8 @@ void ThreadPool::run_chunks(std::int64_t n, int chunks,
     std::exception_ptr first;
     for (int c = 0; c < c_total; ++c) {
       try {
-        traced_body(c, chunk_begin(n, c_total, c),
-                    chunk_begin(n, c_total, c + 1));
+        inherit_body(c, chunk_begin(n, c_total, c),
+                     chunk_begin(n, c_total, c + 1));
       } catch (...) {
         if (!first) first = std::current_exception();
       }
@@ -193,7 +181,7 @@ void ThreadPool::run_chunks(std::int64_t n, int chunks,
   auto batch = std::make_shared<Batch>();
   batch->n = n;
   batch->chunks = c_total;
-  batch->body = &traced_body;
+  batch->body = &inherit_body;
   batch->remaining.store(c_total, std::memory_order_relaxed);
   batch->errors.resize(static_cast<size_t>(c_total));
 
@@ -239,17 +227,13 @@ ThreadPool& ThreadPool::shared() {
   return pool;
 }
 
-void parallel_chunks(std::int64_t n, int chunks,
-                     const ThreadPool::ChunkBody& body) {
-  ThreadPool::shared().run_chunks(n, chunks, body);
-}
-
 void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn,
                   int threads) {
-  parallel_chunks(n, chunk_count(n, threads),
-                  [&fn](int, std::int64_t begin, std::int64_t end) {
-                    for (std::int64_t i = begin; i < end; ++i) fn(i);
-                  });
+  ThreadPool::shared().run_chunks(
+      n, chunk_count(n, threads),
+      [&fn](int, std::int64_t begin, std::int64_t end) {
+        for (std::int64_t i = begin; i < end; ++i) fn(i);
+      });
 }
 
 }  // namespace feio::util

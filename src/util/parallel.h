@@ -1,18 +1,19 @@
-// Deterministic data parallelism for the embarrassingly parallel pipeline
-// stages (per-element contour extraction, per-subdivision assembly and
-// shaping, per-deck batch runs).
+// Deterministic data parallelism at one level: feio serve's job pool and
+// the CLI's per-deck batches. Every library stage (IDLZ, the FEM assembly
+// and envelope factorization, OSPL contouring) runs serially inside one
+// job or deck, so threads never nest below these two callers.
 //
 // Design rules, in priority order:
 //   1. Determinism. Work is split into a fixed number of *contiguous,
-//      index-ordered chunks*; callers merge per-chunk results in chunk
-//      order, which reconstructs exactly the serial order. Output is
-//      byte-identical for any thread count, including 1.
+//      index-ordered chunks*; callers merge per-chunk (or per-index)
+//      results in ascending order, which reconstructs exactly the serial
+//      order. Output is byte-identical for any thread count, including 1.
 //   2. No work stealing, no dynamic scheduling of chunk boundaries. The
 //      partition of [0, n) depends only on (n, chunks), never on timing.
 //   3. Exceptions propagate: every chunk runs to completion, then the
 //      exception of the *lowest-indexed* failing chunk is rethrown — the
 //      same exception a serial left-to-right sweep would have thrown first.
-//   4. Nested-free: a parallel_chunks() call made from inside a pool worker
+//   4. Nested-free: a run_chunks() call made from inside a pool worker
 //      executes serially inline (same chunk partition, same order), so
 //      nested parallelism can never deadlock or oversubscribe.
 //   5. Cancellation-aware: run_chunks captures the submitting thread's
@@ -24,8 +25,8 @@
 //      the rule-3 lowest-index contract; a batch that is never cancelled is
 //      byte-identical to an uncancelled run.
 //
-// The library default is serial (default_threads() == 1): existing callers
-// see bit-identical behavior until `feio --threads N` or a programmatic
+// The library default is serial (default_threads() == 1): a deck batch runs
+// one deck at a time until `feio --threads N` or a programmatic
 // set_default_threads() opts in.
 #pragma once
 
@@ -66,11 +67,11 @@ int default_threads();
 //   0 => default_threads(), negative => hardware_threads(), else n.
 int resolve_threads(int threads);
 
-// Scoped override of the process default thread count, used by
-// feio::RunOptions: saves the current default, applies resolve-like
-// semantics (0 => leave the default untouched, < 0 => all hardware
-// threads, else n) and restores on destruction. The default is
-// process-global; concurrent overrides should use the same value.
+// Scoped override of the process default thread count, used by the solver
+// sweep's threads axis and by tests: saves the current default, applies
+// resolve-like semantics (0 => leave the default untouched, < 0 => all
+// hardware threads, else n) and restores on destruction. The default is
+// process-global, so only one thread at a time may hold an override.
 class ScopedThreads {
  public:
   explicit ScopedThreads(int n);
@@ -83,9 +84,8 @@ class ScopedThreads {
   bool active_ = false;
 };
 
-// Number of chunks a range of n items is split into at a given thread
-// count: min(resolve_threads(threads), n), at least 1. Callers size their
-// per-chunk result buffers with this before calling parallel_chunks().
+// Number of chunks parallel_for() splits a range of n items into at a
+// given thread count: min(resolve_threads(threads), n), at least 1.
 int chunk_count(std::int64_t n, int threads);
 
 // A fixed-size pool of worker threads executing chunked jobs. The
@@ -118,7 +118,7 @@ class ThreadPool {
   // terminates the process, so tasks must catch everything they can raise.
   void post(std::function<void()> task);
 
-  // The process-wide pool used by the free functions below. Sized to
+  // The process-wide pool parallel_for() runs on. Sized to
   // hardware_threads() - 1 workers (the caller supplies the final lane).
   static ThreadPool& shared();
 
@@ -139,15 +139,9 @@ class ThreadPool {
   std::vector<std::thread> threads_;
 };
 
-// Runs body(c, begin, end) for each of `chunks` contiguous ranges of
-// [0, n) on the shared pool. `chunks` must come from chunk_count() (or be
-// any value >= 1); per-chunk buffers indexed by c and merged in ascending
-// c reproduce the serial order exactly.
-void parallel_chunks(std::int64_t n, int chunks,
-                     const ThreadPool::ChunkBody& body);
-
-// Runs fn(i) for every i in [0, n), chunked by chunk_count(n, threads).
-// fn must tolerate concurrent invocation for distinct i.
+// Runs fn(i) for every i in [0, n) on the shared pool, chunked by
+// chunk_count(n, threads). fn must tolerate concurrent invocation for
+// distinct i.
 void parallel_for(std::int64_t n, const std::function<void(std::int64_t)>& fn,
                   int threads = 0);
 

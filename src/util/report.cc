@@ -38,10 +38,6 @@ ReportInfo classify_report(std::string_view json) {
     return info;
   }
   info.legacy = true;
-  if (info.schema == "feio.bench.pipeline/1") {
-    info.kind = "bench";
-    return info;
-  }
   if (info.schema.empty() &&
       json.find("\"diagnostics\":") != std::string_view::npos) {
     // Pre-envelope DiagSink document; `feio lint --json` used the identical

@@ -9,9 +9,9 @@
 //   "generated_by": "feio"
 // followed by kind-specific fields (the pre-envelope payloads, unchanged,
 // so pre-existing consumers keep finding their keys). classify_report()
-// recognizes both the new envelope and the three legacy envelopes it
-// replaced; the legacy shapes are read-only compatibility for one release
-// (see docs/DIAGNOSTICS.md).
+// recognizes both the new envelope and the legacy DiagSink document it
+// replaced; the legacy shape is read-only compatibility (see
+// docs/DIAGNOSTICS.md).
 #pragma once
 
 #include <string>
@@ -30,17 +30,16 @@ inline constexpr std::string_view kReportSchema = "feio.report/1";
 std::string report_header_json(std::string_view kind);
 
 struct ReportInfo {
-  std::string schema;  // "feio.report/1", a legacy id, or "" (pre-envelope)
+  std::string schema;  // "feio.report/1", another id, or "" (pre-envelope)
   std::string kind;    // normalized: diag|lint|bench|metrics|"" if unknown
   bool legacy = false;
 };
 
 // Identifies a report document by its top-level "schema"/"kind" members.
-// Recognizes the feio.report/1 envelope and the legacy shapes:
-//   - pre-PR4 DiagSink JSON (no "schema"; has "diagnostics") => kind diag
-//   - "feio.bench.pipeline/1"                                => kind bench
-// A key-scan, not a full parse: callers wanting validation parse the
-// document separately.
+// Recognizes the feio.report/1 envelope and the legacy DiagSink JSON (no
+// "schema"; has "diagnostics"), which classifies as kind diag. A key-scan,
+// not a full parse: callers wanting validation parse the document
+// separately.
 ReportInfo classify_report(std::string_view json);
 
 }  // namespace feio

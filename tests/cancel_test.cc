@@ -1,7 +1,7 @@
 // Tests for the robustness primitives (docs/ROBUSTNESS.md): deadlines and
 // cooperative cancellation (util/cancel.h), admission guards (util/guard.h)
 // and fault injection (util/fault.h), plus their plumbing through
-// RunOptions, run_checked and util::parallel_chunks.
+// RunOptions, run_checked, fem::solve and util::ThreadPool::run_chunks.
 #include "util/cancel.h"
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include "feio/run_options.h"
+#include "fem/solver.h"
 #include "idlz/idlz.h"
 #include "ospl/ospl.h"
 #include "scenarios/pipeline_bench.h"
@@ -135,6 +136,23 @@ TEST(CancelTest, ExpiredTokenMakesOsplRunCheckedReportDeadline) {
   bool found = false;
   for (const Diag& d : sink.diags()) found |= d.code == "E-RES-005";
   EXPECT_TRUE(found) << sink.render_text();
+}
+
+TEST(CancelTest, ExpiredTokenStopsStaticSolve) {
+  mesh::TriMesh m;
+  m.add_node({0.0, 0.0});
+  m.add_node({1.0, 0.0});
+  m.add_node({0.0, 1.0});
+  m.add_element(0, 1, 2);
+  fem::StaticProblem problem(m, fem::Analysis::kPlaneStress);
+  problem.fix(0, true, true);
+  problem.fix(1, true, true);
+  problem.point_load(2, {1.0, 0.0});
+  const util::CancelToken expired{std::chrono::nanoseconds(0)};
+  RunOptions ro;
+  ro.cancel = &expired;
+  EXPECT_THROW(fem::solve(problem, ro), util::Cancelled);
+  EXPECT_NO_THROW(fem::solve(problem, RunOptions{}));
 }
 
 // --- Cancellation across the thread pool -----------------------------------

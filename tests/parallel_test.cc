@@ -1,6 +1,6 @@
-// Tests for util::ThreadPool / parallel_chunks / parallel_for, and for the
-// determinism contract of the parallelized pipeline stages: output must be
-// byte-identical for any thread count.
+// Tests for util::ThreadPool / parallel_for, and for the determinism
+// contract at the API level: pipeline output must be byte-identical for
+// any thread count.
 #include "util/parallel.h"
 
 #include <algorithm>
@@ -226,8 +226,10 @@ TEST(ParallelTest, NestedCallFromWorkerRunsSerialInlineWithoutDeadlock) {
           }
         }
         // A nested parallel_for must fall back to inline-serial on worker
-        // threads; either way it must complete and visit every index.
-        std::int64_t local = 0;
+        // threads; either way it must complete and visit every index. On
+        // the caller lane it is a top-level call whose chunks run on the
+        // pool, so the sum is atomic.
+        std::atomic<std::int64_t> local{0};
         util::parallel_for(
             100, [&](std::int64_t i) { local += i; }, 4);
         total += local;
@@ -319,7 +321,6 @@ void expect_segments_identical(const std::vector<ospl::ContourSegment>& a,
 }
 
 TEST(ParallelDeterminismTest, ContoursIdenticalAtOneTwoAndEightThreads) {
-  ThreadsGuard guard(1);
   const idlz::IdlzCase c = scenarios::strip_case(12, 18, 3);
   const idlz::IdlzResult r = idlz::run(c);
   const std::vector<double> values = synthetic_field(r.mesh);
@@ -327,12 +328,17 @@ TEST(ParallelDeterminismTest, ContoursIdenticalAtOneTwoAndEightThreads) {
   const double vmax = *std::max_element(values.begin(), values.end());
   const std::vector<double> levels =
       ospl::contour_levels(vmin, vmax, ospl::auto_interval(vmin, vmax));
-  const auto serial = ospl::extract_contours(r.mesh, values, levels, 1);
+  std::vector<ospl::ContourSegment> serial;
+  {
+    ThreadsGuard guard(1);
+    serial = ospl::extract_contours(r.mesh, values, levels);
+  }
   ASSERT_FALSE(serial.empty());
-  expect_segments_identical(
-      serial, ospl::extract_contours(r.mesh, values, levels, 2));
-  expect_segments_identical(
-      serial, ospl::extract_contours(r.mesh, values, levels, 8));
+  for (int threads : {2, 8}) {
+    ThreadsGuard guard(threads);
+    expect_segments_identical(
+        serial, ospl::extract_contours(r.mesh, values, levels));
+  }
 }
 
 TEST(ParallelDeterminismTest, IdlzRunIdenticalSerialVsThreaded) {
@@ -409,18 +415,22 @@ TEST(ParallelDeterminismTest, QuickBenchReportIsIdenticalAndValidJson) {
   // Claim C6 on the 3,510-dof plate with holes. Paper: renumbering is
   // offered because solver cost depends directly on the bandwidth (no
   // numbers given). Here RCM cuts the dof half-bandwidth from 133 to 45,
-  // the nodal bandwidth from 66 to 22, and the factor's envelope from
-  // 1,316,488 to 772,744 bytes (1.70x less storage to factor).
+  // the nodal bandwidth from 66 to 22, the factor's envelope from
+  // 1,316,488 to 772,744 bytes (1.70x less storage to factor), and the
+  // exact LDL^T work (sum of squared column heights) from 12,741,255 to
+  // 2,816,839 (4.52x less). CI's timed gate asks RCM for 1.5x.
   struct Pin {
     const char* name;
     int half_bandwidth;
     int node_bw;
     std::int64_t skyline_bytes;
+    std::int64_t work;
   };
+  std::vector<std::int64_t> work;
   for (const Pin& pin : {Pin{"factor_solve/plate_holes96/none", 133, 66,
-                             1316488},
+                             1316488, 12741255},
                          Pin{"factor_solve/plate_holes96/rcm", 45, 22,
-                             772744}}) {
+                             772744, 2816839}}) {
     const auto it = std::find_if(
         report.cases.begin(), report.cases.end(),
         [&](const scenarios::SolverBenchCase& c) {
@@ -431,7 +441,11 @@ TEST(ParallelDeterminismTest, QuickBenchReportIsIdenticalAndValidJson) {
     EXPECT_EQ(it->half_bandwidth, pin.half_bandwidth) << pin.name;
     EXPECT_EQ(it->node_bw, pin.node_bw) << pin.name;
     EXPECT_EQ(it->skyline_bytes, pin.skyline_bytes) << pin.name;
+    EXPECT_EQ(it->work, pin.work) << pin.name;
+    work.push_back(it->work);
   }
+  EXPECT_NEAR(static_cast<double>(work[0]) / static_cast<double>(work[1]),
+              4.5232, 1e-4);
 }
 
 }  // namespace

@@ -50,15 +50,6 @@ TEST(ReportCompatTest, LegacyLintGoldenClassifiesAsDiagShape) {
   EXPECT_TRUE(info.legacy);
 }
 
-TEST(ReportCompatTest, LegacyBenchGoldenClassifiesAsBench) {
-  const std::string doc = read_golden("bench_v0.json");
-  ASSERT_TRUE(json_check::valid(doc));
-  const ReportInfo info = classify_report(doc);
-  EXPECT_EQ(info.kind, "bench");
-  EXPECT_TRUE(info.legacy);
-  EXPECT_EQ(info.schema, "feio.bench.pipeline/1");
-}
-
 TEST(ReportCompatTest, EnvelopedDiagKeepsLegacyPayloadByteForByte) {
   DiagSink sink;
   sink.error("E-CARD-001", "field 1 is not a valid integer",

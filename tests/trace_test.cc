@@ -1,13 +1,15 @@
 // Observability determinism: tracing and metrics must never change what
 // the pipeline produces, trace JSON must parse with balanced begin/end
-// events, and counter totals must be invariant under the thread count
-// (the parallel.* scheduling family excepted — chunk counts legitimately
-// depend on the thread count; see docs/OBSERVABILITY.md).
+// events, and every counter total must be invariant under the thread count
+// (see docs/OBSERVABILITY.md).
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -75,7 +77,7 @@ idlz::IdlzCase fig02_case() {
   return cases.front();
 }
 
-// A multi-subdivision case large enough that 8 threads get real chunks.
+// A multi-subdivision case large enough to exercise every IDLZ stage.
 idlz::IdlzCase big_case() { return scenarios::strip_case(16, 24, 6); }
 
 ospl::OsplCase ospl_case() {
@@ -159,20 +161,45 @@ void check_balanced(const std::string& json) {
 }
 
 TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
+  const idlz::IdlzCase idlz_case = big_case();
+  const ospl::OsplCase plot_case = ospl_case();
   util::Tracer tracer;
+  // Installed once around the batch, as the CLI does for --trace; each
+  // run's RunOptions then names the tracer that is already current.
+  util::ScopedTracerInstall install(&tracer);
   RunOptions opts;
-  opts.threads = 8;
   opts.tracer = &tracer;
-  idlz_fingerprint(big_case(), opts);
-  // IDLZ runs serially; OSPL's contour stage supplies the worker spans.
-  ospl_fingerprint(ospl_case(), opts);
+  // The IDLZ and OSPL runs are two items of one batch, as the CLI's deck
+  // batches run them. Each holds its lane (bounded) until the other has
+  // started, so with a pool worker present they land on two threads.
+  std::atomic<int> started{0};
+  util::parallel_for(
+      2,
+      [&](std::int64_t i) {
+        started++;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (util::hardware_threads() > 1 && started < 2 &&
+               std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        if (i == 0) {
+          idlz_fingerprint(idlz_case, opts);
+        } else {
+          ospl_fingerprint(plot_case, opts);
+        }
+      },
+      2);
+  if (util::hardware_threads() > 1) {
+    EXPECT_GE(tracer.thread_count(), 2);
+  }
   const std::string json = tracer.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   check_balanced(json);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"idlz.run\""), std::string::npos);
   EXPECT_NE(json.find("\"idlz.assemble\""), std::string::npos);
-  EXPECT_NE(json.find("\"parallel.chunk\""), std::string::npos);
+  EXPECT_NE(json.find("\"ospl.run\""), std::string::npos);
 }
 
 TEST(TraceDeterminismTest, CounterTotalsAreThreadCountInvariant) {
@@ -184,13 +211,8 @@ TEST(TraceDeterminismTest, CounterTotalsAreThreadCountInvariant) {
     opts.metrics = &metrics;
     idlz_fingerprint(big_case(), opts);
     ospl_fingerprint(ospl_case(), opts);
-    std::map<std::string, std::int64_t> counters;
-    for (const auto& [name, v] : metrics.snapshot().counters) {
-      // parallel.* counts scheduling chunks, which legitimately scale
-      // with the thread count; every pipeline counter must not.
-      if (name.rfind("parallel.", 0) == 0) continue;
-      counters[name] = v;
-    }
+    const std::map<std::string, std::int64_t> counters =
+        metrics.snapshot().counters;
     EXPECT_FALSE(counters.empty());
     if (threads == 1) {
       reference = counters;

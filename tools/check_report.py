@@ -27,7 +27,6 @@ REQUIRED_KEYS = {
 # Required keys per bench payload_schema (the "bench" kind is a family of
 # payloads; see docs/BENCHMARKS.md and docs/ROBUSTNESS.md).
 BENCH_KEYS = {
-    "feio.bench.pipeline/1": ["threads", "all_identical", "cases", "metrics"],
     "feio.bench.solver/3": ["threads", "all_identical", "cases", "metrics"],
     "feio.bench.serve/1": ["jobs", "ok", "rejected", "timed_out", "faulted",
                            "errors", "wall_ms", "jobs_per_sec", "p50_ms",
@@ -100,12 +99,8 @@ def check_report(path, want_kind=None):
                 fail(f"{path}: serve buckets sum to {buckets}, "
                      f"want jobs={doc['jobs']}")
             check_serve_extensions(path, doc)
-        elif payload == "feio.bench.solver/3":
-            check_solver_cases(path, doc)
         else:
-            for case in doc["cases"]:
-                if not case.get("identical"):
-                    fail(f"{path}: case {case.get('name')!r} not identical")
+            check_solver_cases(path, doc)
     if kind == "job":
         if doc["status"] not in JOB_STATUSES:
             fail(f"{path}: job status {doc['status']!r}, "

@@ -25,10 +25,10 @@
 //       summary in BENCH_serve.json (docs/ROBUSTNESS.md)
 //   feio help | --help | -h
 //
-// --threads N runs the parallel pipeline stages (contour extraction, batch
-// decks) and the FEM hot path (element assembly, blocked envelope
-// factorization) on N threads; `--threads all` uses every
-// hardware thread. Output is byte-identical to a serial run for any N.
+// --threads N runs up to N decks of a batch concurrently (for serve, N
+// concurrent jobs); each deck's pipeline runs serially on its thread.
+// `--threads all` uses every hardware thread. Output is byte-identical to
+// a serial run for any N.
 //
 // Observability (docs/OBSERVABILITY.md), accepted by every subcommand:
 //   --trace FILE         write a Chrome trace-event JSON of the run
@@ -93,8 +93,8 @@ struct Args : api::CommonOptions {
 };
 
 // The RunOptions every pipeline call made on behalf of this invocation
-// uses. `threads` stays 0: main() already pinned the process default, and
-// per-deck workers must not race on re-pinning it.
+// uses. --threads is not among them: main() pins the process default that
+// the deck batches read.
 RunOptions run_options(const Args& args) { return api::run_options(args); }
 
 void print_usage(std::FILE* to) {
@@ -652,10 +652,10 @@ int main(int argc, char** argv) {
   }
   util::set_default_threads(args.threads);
 
-  // --fault arms the named site process-wide for this invocation (workers
-  // inherit it through parallel_chunks). serve jobs are unaffected: each
-  // job's FaultScope masks this one, so their faults come from the job
-  // line's "fault" field instead.
+  // --fault arms the named site process-wide for this invocation (deck
+  // batch workers inherit it through run_chunks). serve jobs are
+  // unaffected: each job's FaultScope masks this one, so their faults come
+  // from the job line's "fault" field instead.
   util::FaultScope fault_scope;
   if (!args.fault_spec.empty()) {
     std::string err;
