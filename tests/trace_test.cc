@@ -203,14 +203,27 @@ TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
 }
 
 TEST(TraceDeterminismTest, CounterTotalsAreThreadCountInvariant) {
+  const idlz::IdlzCase idlz_case = big_case();
+  const ospl::OsplCase plot_case = ospl_case();
   std::map<std::string, std::int64_t> reference;
   for (int threads : {1, 2, 8}) {
     util::MetricsRegistry metrics;
+    // One registry around a batch of runs, as the CLI installs it for
+    // --metrics-json; above one thread the runs record into several
+    // per-thread shards.
+    util::ScopedMetricsInstall install(&metrics);
     RunOptions opts;
-    opts.threads = threads;
     opts.metrics = &metrics;
-    idlz_fingerprint(big_case(), opts);
-    ospl_fingerprint(ospl_case(), opts);
+    util::parallel_for(
+        4,
+        [&](std::int64_t i) {
+          if (i % 2 == 0) {
+            idlz_fingerprint(idlz_case, opts);
+          } else {
+            ospl_fingerprint(plot_case, opts);
+          }
+        },
+        threads);
     const std::map<std::string, std::int64_t> counters =
         metrics.snapshot().counters;
     EXPECT_FALSE(counters.empty());
