@@ -1,11 +1,11 @@
-// The ordering x threads sweep of the FEM hot path: element assembly and
-// blocked envelope LDL^T factorize+solve under none/RCM node orderings, on
-// IDLZ strips and plate-with-holes meshes.
+// The ordering sweep of the FEM hot path: element assembly and blocked
+// envelope LDL^T factorize+solve under none/RCM node orderings, on IDLZ
+// strips and plate-with-holes meshes.
 //
-// Artifact: BENCH_solver.json (payload schema "feio.bench.solver/3", the
+// Artifact: BENCH_solver.json (payload schema "feio.bench.solver/4", the
 // feio.report/1 bench envelope; see docs/BENCHMARKS.md). `--quick`
 // restricts the harness to two small meshes (the CI smoke configuration).
-// Exits 1 when a parallel result diverges from its serial arm.
+// Exits 1 when a timed run's result diverges from its warm-up run's.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -23,12 +23,12 @@ int main(int argc, char** argv) {
   }
 
   const feio::scenarios::SolverBenchReport report =
-      feio::scenarios::run_solver_bench(/*threads=*/0, quick);
+      feio::scenarios::run_solver_bench(quick);
   std::printf("%s", report.render_table().c_str());
   std::ofstream("BENCH_solver.json") << report.render_json();
   std::printf("wrote BENCH_solver.json%s\n",
               report.all_identical()
                   ? ""
-                  : "  ** PARALLEL OUTPUT DIVERGED FROM SERIAL **");
+                  : "  ** A TIMED RUN DIVERGED FROM ITS WARM-UP **");
   return report.all_identical() ? 0 : 1;
 }

@@ -9,7 +9,7 @@
 
 #include "cards/card_io.h"    // IWYU pragma: export
 #include "cards/format.h"     // IWYU pragma: export
-#include "feio/api.h"         // IWYU pragma: export
+#include "feio/run_options.h"  // IWYU pragma: export
 #include "fem/assembly.h"     // IWYU pragma: export
 #include "fem/contact.h"      // IWYU pragma: export
 #include "fem/element.h"      // IWYU pragma: export

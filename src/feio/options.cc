@@ -134,10 +134,9 @@ FlagStatus consume_flag(CommonOptions& opts, int argc, char** argv, int& i,
     return FlagStatus::kOk;
   }
   if (a == "--threads") {
-    // One shared parser and one shared error message for every subcommand
-    // (util/parallel.h): positive integer or "all".
+    // One parser (util/parallel.h) and one message for every subcommand.
     if (i + 1 >= argc || !util::parse_thread_count(argv[++i], opts.threads)) {
-      error = util::kThreadsFlagError;
+      error = "--threads expects a positive integer or 'all'";
       return FlagStatus::kError;
     }
     return FlagStatus::kOk;

@@ -27,7 +27,8 @@ namespace feio::api {
 
 // The parsed shared flags, defaults matching the historical CLI.
 struct CommonOptions {
-  // --threads N|all
+  // --threads N|all (0 = all): the CLI's deck-batch lanes and serve's
+  // worker count.
   int threads = 1;
 
   // --out DIR
@@ -96,8 +97,8 @@ bool parse_tenant_spec(const std::string& spec, serve::TenantConfig& out,
                        std::string& error);
 
 // The RunOptions a direct pipeline command (idlz/ospl/check/lint) should
-// pass to run_idlz/run_ospl. --threads is not carried: the front end pins
-// the process default once, and only the deck batches read it.
+// pass to idlz::run_checked / ospl::run_checked. --threads is not carried:
+// the front end passes it to its deck batches (util::parallel_for).
 RunOptions run_options(const CommonOptions& opts);
 
 // The ServeOptions for this invocation: queue, deadline, guard overrides,

@@ -1,7 +1,7 @@
 // feio::RunOptions — the one options block both pipeline entry points
-// accept (PR 4 api_redesign). Lives in its own header, below idlz/ and
-// ospl/, so idlz.h and ospl.h can declare the overloads without an include
-// cycle; the user-facing façade is feio/api.h.
+// (idlz::run / run_checked, ospl::run / run_checked) accept. Lives in its
+// own header, below idlz/ and ospl/, so idlz.h and ospl.h can take it
+// without an include cycle; feio.h re-exports it with everything else.
 #pragma once
 
 namespace feio::util {
@@ -27,14 +27,14 @@ enum class OrderingChoice {
   kRcm,
 };
 
-// Options applied to one pipeline run. Everything here defaults to "the
-// behavior the two-argument overloads always had", so
-// run_checked(c, sink, RunOptions{}) is exactly run_checked(c, sink).
+// Options applied to one pipeline run. Every entry point defaults its
+// options to RunOptions{}: no sinks, no deadline, no cache, the deck's own
+// ordering, plots and punching as the case asks.
 struct RunOptions {
   // No stage reads this: every pipeline stage runs serially on the
-  // calling thread, and threads exist only in feio serve's job pool and the
-  // CLI's deck batches (util/parallel.h). Kept only because perfbench/
-  // sets it.
+  // calling thread, and threads start only in feio serve's job pool and
+  // the CLI's deck batches, each given its count explicitly
+  // (util/parallel.h). Kept only because perfbench/ sets it.
   int threads = 0;
 
   // Observability sinks, both optional. Installed (scoped) as the process
@@ -64,7 +64,7 @@ struct RunOptions {
   // workers share one instance.
   fem::FactorCache* factor_cache = nullptr;
 
-  // Renumbering override for run_idlz — see OrderingChoice.
+  // Renumbering override for the IDLZ pipeline — see OrderingChoice.
   OrderingChoice ordering = OrderingChoice::kDeckDefault;
 
   // Output toggles, ANDed with the case's own IdlzOptions: false forces
@@ -73,18 +73,5 @@ struct RunOptions {
   bool make_plots = true;
   bool punch = true;
 };
-
-// Deprecation switch for the pre-RunOptions two-argument overloads. On (1)
-// by default for one release so existing callers build warning-free;
-// configure with -DFEIO_ALLOW_DEPRECATED=0 to surface [[deprecated]]
-// warnings at every legacy call site.
-#ifndef FEIO_ALLOW_DEPRECATED
-#define FEIO_ALLOW_DEPRECATED 1
-#endif
-#if FEIO_ALLOW_DEPRECATED
-#define FEIO_DEPRECATED(msg)
-#else
-#define FEIO_DEPRECATED(msg) [[deprecated(msg)]]
-#endif
 
 }  // namespace feio

@@ -25,21 +25,25 @@
 #endif
 
 #include "cards/format_cache.h"
-#include "feio/api.h"
 #include "fem/assembly.h"
 #include "fem/factor_cache.h"
 #include "fem/solver.h"
 #include "idlz/deck.h"
+#include "idlz/idlz.h"
 #include "ospl/deck.h"
+#include "ospl/ospl.h"
 #include "util/cancel.h"
 #include "util/diag.h"
 #include "util/drr.h"
 #include "util/error.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 #include "util/mutex.h"
 #include "util/parallel.h"
+#include "util/report.h"
 #include "util/text.h"
 #include "util/thread_annotations.h"
+#include "util/trace.h"
 
 namespace feio::serve {
 namespace {
@@ -256,7 +260,7 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
   const util::CancelToken* cancel =
       deadline_ms > 0 ? &token : &no_deadline;
   // The deck parsers observe the token through the thread-local current;
-  // run_idlz / run_ospl re-install it from RunOptions.
+  // the run_checked entry points re-install it from RunOptions.
   util::ScopedCancel cancel_scope(cancel);
 
   RunOptions ro;
@@ -271,7 +275,8 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
       const std::vector<idlz::IdlzCase> cases =
           idlz::read_deck_string(job.deck, sink, "job:" + job.id);
       for (const idlz::IdlzCase& c : cases) {
-        const std::optional<idlz::IdlzResult> result = run_idlz(c, sink, ro);
+        const std::optional<idlz::IdlzResult> result =
+            idlz::run_checked(c, sink, ro);
         if (job.pipeline == "solve" && result.has_value()) {
           // Warm-path reuse happens inside fem::solve via the session
           // factor cache; a faulted/timed-out/singular solve throws past
@@ -282,7 +287,7 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
     } else {
       const ospl::OsplCase c =
           ospl::read_deck_string(job.deck, sink, "job:" + job.id);
-      if (sink.ok()) run_ospl(c, sink, ro);
+      if (sink.ok()) ospl::run_checked(c, sink, ro);
     }
   } catch (const ResourceError& e) {
     // Thrown outside run_checked's net (deck parsing hits card.read /
@@ -434,7 +439,7 @@ class Session {
         format_base_(rebind_format_cache(opts.format_cache_capacity)),
         max_line_bytes_(line_cap(opts)),
         t0_(Clock::now()),
-        pool_(std::max(1, util::resolve_threads(opts.threads))) {
+        pool_(std::min(util::resolve_threads(opts.threads), capacity_)) {
     util::MutexLock lock(mu_);
     for (const TenantConfig& cfg : opts.tenants) {
       if (!valid_tenant_name(cfg.name)) {
@@ -909,6 +914,8 @@ class Session {
 
   // Declared last: destroyed first, joining the workers while every member
   // they touch is still alive. finish() has already drained the queue.
+  // Capped at capacity_: no more jobs than that are ever admitted and
+  // unfinished, so further workers could never run one.
   util::ThreadPool pool_;
 };
 

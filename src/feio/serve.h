@@ -72,10 +72,10 @@ struct TenantConfig {
 };
 
 struct ServeOptions {
-  // Worker threads for the job pool: 0 = the process default, < 0 = all
-  // hardware threads. Every pipeline stage is serial, so each job runs on
-  // its one worker and this is the number of concurrent jobs.
-  int threads = 0;
+  // Worker threads for the job pool, <= 0 = every hardware thread, capped at
+  // queue_capacity. Every pipeline stage is serial, so each job runs on its
+  // one worker and this is the number of concurrent jobs.
+  int threads = 1;
 
   // Session-wide admission bound: jobs admitted but not yet finished,
   // summed over all tenants and connections. A job arriving with the

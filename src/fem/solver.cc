@@ -25,52 +25,6 @@ StaticSolution unpack(const StaticProblem& problem,
   return sol;
 }
 
-StaticSolution solve_cold(const StaticProblem& problem) {
-  SkylineMatrix k(problem.dof_skyline_lows());
-  std::vector<double> rhs;
-  problem.assemble(k, rhs);
-  k.factorize();
-  k.solve(rhs);
-  FEIO_METRIC_ADD("fem.static_solves", 1);
-  return unpack(problem, rhs);
-}
-
-StaticSolution solve_cached(const StaticProblem& problem, FactorCache& cache) {
-  const FactorKey key = factor_key(problem);
-  const std::uint64_t loads = loads_key(problem);
-  if (const auto entry = cache.get(key, loads)) {
-    // Warm path: the operator (mesh + material + constraints + thermal)
-    // matches, so only the load vector needs rebuilding. assemble_load_rhs
-    // runs the same rhs arithmetic as the cold path, the recorded Dirichlet
-    // ops re-apply the identical constraint transformation (their
-    // coefficients are load-independent), and the cached factor bytes make
-    // the solve deterministic — so the result is bit-identical to a cold
-    // solve of this exact load case at any thread count. No FEIO_FAULT site
-    // runs here — an armed fault cannot fire on a hit.
-    std::vector<double> rhs;
-    problem.assemble_load_rhs(rhs);
-    replay_dirichlet_rhs(entry->rhs_ops, rhs);
-    entry->matrix.solve(rhs);
-    FEIO_METRIC_ADD("fem.static_solves", 1);
-    return unpack(problem, rhs);
-  }
-
-  SkylineMatrix k(problem.dof_skyline_lows());
-  std::vector<double> rhs;
-  std::vector<DirichletRhsOp> rhs_ops;
-  problem.assemble(k, rhs, &rhs_ops);
-  k.factorize();
-  std::vector<double> rhs_solved = rhs;
-  k.solve(rhs_solved);
-  FEIO_METRIC_ADD("fem.static_solves", 1);
-  // Insert only now, with the solve fully succeeded: a deadline, injected
-  // fault, or singular pivot above threw past this line, so a failed job
-  // never poisons the cache.
-  cache.put(key, std::make_shared<const FactorEntry>(
-                     FactorEntry{std::move(k), std::move(rhs_ops), loads}));
-  return unpack(problem, rhs_solved);
-}
-
 }  // namespace
 
 StoragePrediction predict_storage(const StaticProblem& problem) {
@@ -92,10 +46,47 @@ StaticSolution solve(const StaticProblem& problem, const RunOptions& opts) {
   util::ScopedTracerInstall tracer(opts.tracer);
   util::ScopedMetricsInstall metrics(opts.metrics);
   util::ScopedCancel cancel(opts.cancel);
-  if (opts.factor_cache != nullptr) {
-    return solve_cached(problem, *opts.factor_cache);
+  FactorCache* const cache = opts.factor_cache;
+  FactorKey key;
+  std::uint64_t loads = 0;
+  if (cache != nullptr) {
+    key = factor_key(problem);
+    loads = loads_key(problem);
+    if (const auto entry = cache->get(key, loads)) {
+      // Warm path: the operator (mesh + material + constraints + thermal)
+      // matches, so only the load vector needs rebuilding.
+      // assemble_load_rhs runs the same rhs arithmetic as the cold path,
+      // the recorded Dirichlet ops re-apply the identical constraint
+      // transformation (their coefficients are load-independent), and the
+      // cached factor bytes make the solve deterministic — so the result is
+      // bit-identical to a cold solve of this exact load case. No
+      // FEIO_FAULT site runs here — an armed fault cannot fire on a hit.
+      std::vector<double> rhs;
+      problem.assemble_load_rhs(rhs);
+      replay_dirichlet_rhs(entry->rhs_ops, rhs);
+      entry->matrix.solve(rhs);
+      FEIO_METRIC_ADD("fem.static_solves", 1);
+      return unpack(problem, rhs);
+    }
   }
-  return solve_cold(problem);
+
+  // Cold path: assemble, factorize, solve in place. With a cache set, the
+  // Dirichlet ops are recorded for later hits.
+  SkylineMatrix k(problem.dof_skyline_lows());
+  std::vector<double> rhs;
+  std::vector<DirichletRhsOp> rhs_ops;
+  problem.assemble(k, rhs, cache != nullptr ? &rhs_ops : nullptr);
+  k.factorize();
+  k.solve(rhs);
+  FEIO_METRIC_ADD("fem.static_solves", 1);
+  if (cache != nullptr) {
+    // Insert only now, with the solve fully succeeded: a deadline, injected
+    // fault, or singular pivot above threw past this line, so a failed job
+    // never poisons the cache.
+    cache->put(key, std::make_shared<const FactorEntry>(
+                        FactorEntry{std::move(k), std::move(rhs_ops), loads}));
+  }
+  return unpack(problem, rhs);
 }
 
 }  // namespace feio::fem

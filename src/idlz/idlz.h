@@ -87,24 +87,14 @@ struct IdlzResult {
 // Runs the IDLZ pipeline on one case under the given options (trace/metrics
 // sinks, cancel token, output toggles — see feio/run_options.h). Throws
 // feio::Error on invalid input.
-IdlzResult run(const IdlzCase& c, const RunOptions& opts);
+IdlzResult run(const IdlzCase& c, const RunOptions& opts = {});
 
 // Diagnosing variant: a pipeline failure becomes an E-IDLZ-006 record in
 // `sink` (nullopt returned) instead of a throw, and mesh-validation
 // findings on a successful run are merged into the same sink — so deck,
 // geometry and quality problems all land in one report.
 std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
-                                      const RunOptions& opts);
-
-// Pre-RunOptions overloads, kept as forwarding shims for one release; new
-// code should pass a RunOptions (or use feio::run_idlz from feio/api.h).
-inline IdlzResult run(const IdlzCase& c) { return run(c, RunOptions{}); }
-
-FEIO_DEPRECATED("pass a feio::RunOptions (see feio/api.h)")
-inline std::optional<IdlzResult> run_checked(const IdlzCase& c,
-                                             DiagSink& sink) {
-  return run_checked(c, sink, RunOptions{});
-}
+                                      const RunOptions& opts = {});
 
 // Human-readable run summary (node/element counts, bandwidth before/after,
 // data-volume ratio) — the "printed listing" portion of IDLZ output.

@@ -66,24 +66,14 @@ struct OsplResult {
 // Runs the full pipeline under the given options (trace/metrics sinks,
 // cancel token — see feio/run_options.h). Throws feio::Error on size
 // violations or malformed input (value count mismatch, empty mesh).
-OsplResult run(const OsplCase& c, const RunOptions& opts);
+OsplResult run(const OsplCase& c, const RunOptions& opts = {});
 
 // Diagnosing variant: the input mesh is validated first (findings merged
 // into `sink`; errors suppress the run), and a pipeline failure becomes an
 // E-OSPL-005 record instead of a throw. Returns nullopt when the case did
 // not run.
 std::optional<OsplResult> run_checked(const OsplCase& c, DiagSink& sink,
-                                      const RunOptions& opts);
-
-// Pre-RunOptions overloads, kept as forwarding shims for one release; new
-// code should pass a RunOptions (or use feio::run_ospl from feio/api.h).
-inline OsplResult run(const OsplCase& c) { return run(c, RunOptions{}); }
-
-FEIO_DEPRECATED("pass a feio::RunOptions (see feio/api.h)")
-inline std::optional<OsplResult> run_checked(const OsplCase& c,
-                                             DiagSink& sink) {
-  return run_checked(c, sink, RunOptions{});
-}
+                                      const RunOptions& opts = {});
 
 // Report line matching the plots' footer, e.g.
 // "CONTOUR INTERVAL IS 2500." — used in plot subtitles.

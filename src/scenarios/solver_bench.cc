@@ -40,21 +40,6 @@ double ms_since(Clock::time_point start) {
       .count();
 }
 
-// Min over `reps` runs of the wall time of work(input). Each run's input
-// comes from make() before the clock starts, and the result is freed after
-// it stops.
-template <typename Make, typename Work>
-double time_min_ms(int reps, const Make& make, const Work& work) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    auto input = make();
-    const Clock::time_point start = Clock::now();
-    const auto result = work(input);
-    best = std::min(best, ms_since(start));
-  }
-  return best;
-}
-
 // Two runs are byte-identical iff every double has the same bit pattern.
 bool bits_equal(const std::vector<double>& a, const std::vector<double>& b) {
   return std::equal(a.begin(), a.end(), b.begin(), b.end(),
@@ -174,30 +159,28 @@ fem::StaticProblem make_problem(const mesh::TriMesh& mesh) {
 }
 
 struct Measurement {
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
+  double ms = 0.0;
   bool identical = false;
 };
 
-// `work(input)` must be a pure function of its input from make() and
-// return its result. Only work() is timed; building each input and
-// comparing the two arms' results happen outside the clock. Every stage is
-// serial, so the two arms time the same code at two settings of the
-// process-default thread count.
+// Min over `reps` runs of the wall time of work(input). Each run's input
+// comes from make() before the clock starts; its result is compared with an
+// untimed warm-up run's and freed after the clock stops. work(input) must be
+// a pure function of its input and return its result.
 template <typename Make, typename Work>
-Measurement measure(int reps, int threads, const Make& make,
-                    const Work& work) {
-  const auto run_arm = [&](int arm_threads, double& ms) {
-    util::ScopedThreads guard(arm_threads);
+Measurement measure(int reps, const Make& make, const Work& work) {
+  const std::vector<double> reference = [&] {
     auto input = make();
-    std::vector<double> result = work(input);  // warm-up + result
-    ms = time_min_ms(reps, make, work);
-    return result;
-  };
-  Measurement m;
-  const std::vector<double> serial = run_arm(1, m.serial_ms);
-  const std::vector<double> parallel = run_arm(threads, m.parallel_ms);
-  m.identical = bits_equal(serial, parallel);
+    return work(input);
+  }();
+  Measurement m{std::numeric_limits<double>::infinity(), true};
+  for (int r = 0; r < reps; ++r) {
+    auto input = make();
+    const Clock::time_point start = Clock::now();
+    const std::vector<double> result = work(input);
+    m.ms = std::min(m.ms, ms_since(start));
+    m.identical = m.identical && bits_equal(result, reference);
+  }
   return m;
 }
 
@@ -214,9 +197,8 @@ std::string SolverBenchReport::render_json() const {
   out << std::fixed;
   out << "{\n";
   out << report_header_json("bench");
-  out << "  \"payload_schema\": \"feio.bench.solver/3\",\n";
+  out << "  \"payload_schema\": \"feio.bench.solver/4\",\n";
   out << "  \"hardware_threads\": " << hardware_threads << ",\n";
-  out << "  \"threads\": " << threads << ",\n";
   out << "  \"repetitions\": " << repetitions << ",\n";
   out << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
   out << "  \"all_identical\": " << (all_identical() ? "true" : "false")
@@ -233,9 +215,7 @@ std::string SolverBenchReport::render_json() const {
         << ", \"band_bytes\": " << c.band_bytes
         << ", \"skyline_bytes\": " << c.skyline_bytes
         << ", \"work\": " << c.work
-        << ", \"serial_ms\": " << c.serial_ms
-        << ", \"parallel_ms\": " << c.parallel_ms
-        << ", \"speedup\": " << c.speedup
+        << ", \"ms\": " << c.ms
         << ", \"identical\": " << (c.identical ? "true" : "false")
         << ", \"skipped\": " << (c.skipped ? "true" : "false") << "}";
   }
@@ -251,10 +231,10 @@ std::string SolverBenchReport::render_json() const {
 
 std::string SolverBenchReport::render_table() const {
   std::ostringstream out;
-  out << "bench_solver: " << threads << " threads (" << hardware_threads
-      << " hardware), min of " << repetitions << " reps\n";
+  out << "bench_solver: min of " << repetitions << " reps ("
+      << hardware_threads << " hardware threads)\n";
   out << "  case                                    n   hbw  envelope"
-         "  serial ms  parallel ms  speedup  identical\n";
+         "         ms  identical\n";
   for (const SolverBenchCase& c : cases) {
     out << "  " << c.name;
     for (size_t pad = c.name.size(); pad < 36; ++pad) out << ' ';
@@ -269,20 +249,18 @@ std::string SolverBenchReport::render_table() const {
                     c.n, c.half_bandwidth, envelope,
                     static_cast<long long>(c.skyline_bytes));
     } else {
-      std::snprintf(row, sizeof row,
-                    "%9d %5d  %8.3f %10.3f  %11.3f  %6.2fx  %s\n", c.n,
-                    c.half_bandwidth, envelope, c.serial_ms, c.parallel_ms,
-                    c.speedup, c.identical ? "yes" : "NO");
+      std::snprintf(row, sizeof row, "%9d %5d  %8.3f %10.3f  %s\n", c.n,
+                    c.half_bandwidth, envelope, c.ms,
+                    c.identical ? "yes" : "NO");
     }
     out << row;
   }
   return out.str();
 }
 
-SolverBenchReport run_solver_bench(int threads, bool quick) {
+SolverBenchReport run_solver_bench(bool quick) {
   SolverBenchReport report;
   report.hardware_threads = util::hardware_threads();
-  report.threads = threads <= 0 ? report.hardware_threads : threads;
   report.quick = quick;
   report.repetitions = quick ? 5 : 3;
 
@@ -321,11 +299,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
         c.band_bytes = pred.band_bytes;
         c.skyline_bytes = pred.skyline_bytes;
         c.work = work;
-        c.serial_ms = meas.serial_ms;
-        c.parallel_ms = meas.parallel_ms;
-        c.speedup = skipped ? 0.0
-                            : meas.serial_ms /
-                                  std::max(meas.parallel_ms, 1e-9);
+        c.ms = meas.ms;
         c.identical = skipped ? true : meas.identical;
         c.skipped = skipped;
         report.cases.push_back(std::move(c));
@@ -342,7 +316,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
       // Stage 1: element assembly into a fresh zeroed envelope.
       push("assemble",
            measure(
-               reps, report.threads, [&] { return fem::SkylineMatrix(lows); },
+               reps, [&] { return fem::SkylineMatrix(lows); },
                [&](fem::SkylineMatrix& k) {
                  std::vector<double> rhs;
                  prob.assemble(k, rhs);
@@ -360,7 +334,7 @@ SolverBenchReport run_solver_bench(int threads, bool quick) {
       prob.assemble(assembled.k, assembled.rhs);
       push("factor_solve",
            measure(
-               reps, report.threads, [&] { return assembled; },
+               reps, [&] { return assembled; },
                [](System& sys) {
                  sys.k.factorize();
                  sys.k.solve(sys.rhs);

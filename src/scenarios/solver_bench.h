@@ -1,20 +1,18 @@
-// The `bench_solver` harness: an ordering x threads sweep of the FEM hot
-// path. For every bench mesh (IDLZ strips plus a plate-with-holes geometry
-// whose webs blow the band up while keeping the envelope thin) and every
-// node ordering (none = generation order, RCM), the harness measures
-// element assembly and blocked envelope factorize+solve, and records the
-// band and envelope byte counts and the LDL^T work. This closes the
-// paper's bandwidth claim (C6): the renumbering pass shrinks the envelope
-// the solver pays for.
+// The `bench_solver` harness: an ordering sweep of the FEM hot path. For
+// every bench mesh (IDLZ strips plus a plate-with-holes geometry whose webs
+// blow the band up while keeping the envelope thin) and every node ordering
+// (none = generation order, RCM), the harness times element assembly and
+// blocked envelope factorize+solve, and records the band and envelope byte
+// counts and the LDL^T work. This closes the paper's bandwidth claim (C6):
+// the renumbering pass shrinks the envelope the solver pays for.
 //
-// Assembly and the factorization are serial, so the "serial" (1 thread)
-// and "parallel" (N threads) arms time the same code. Every measurement
-// byte-compares the two arms' results (`identical`) outside the timed
-// region, which holds only the work itself. A cell whose factor
-// would exceed the harness byte or flop caps is reported with `skipped` =
-// true rather than silently dropped. The JSON rendering is a feio.report/1
-// envelope of kind "bench" whose payload is schema-stable
-// ("feio.bench.solver/3", see docs/BENCHMARKS.md): fields may be added,
+// Each cell has one timed arm, the min over its reps; the timed region
+// holds only the work itself. Outside it, every timed rep's result is
+// byte-compared with an untimed warm-up run's (`identical`). A cell whose
+// factor would exceed the harness byte or flop caps is reported with
+// `skipped` = true rather than silently dropped. The JSON rendering is a
+// feio.report/1 envelope of kind "bench" whose payload is schema-stable
+// ("feio.bench.solver/4", see docs/BENCHMARKS.md): fields may be added,
 // never renamed or removed.
 #pragma once
 
@@ -37,10 +35,8 @@ struct SolverBenchCase {
   // Exact LDL^T work model: the sum of squared dof column heights, which
   // the flop caps compare against. Structure-only, so it is deterministic.
   std::int64_t work = 0;
-  double serial_ms = 0.0;
-  double parallel_ms = 0.0;
-  double speedup = 0.0;    // serial_ms / parallel_ms
-  bool identical = false;  // parallel output byte-identical to serial
+  double ms = 0.0;         // min wall time over the timed reps
+  bool identical = false;  // every timed rep byte-identical to the warm-up
   // True when the cell was not run because its factor exceeds the harness
   // byte or flop cap; timings are 0 and `identical` is vacuously true.
   bool skipped = false;
@@ -48,7 +44,6 @@ struct SolverBenchCase {
 
 struct SolverBenchReport {
   int hardware_threads = 1;
-  int threads = 1;
   int repetitions = 1;
   bool quick = false;
   std::vector<SolverBenchCase> cases;
@@ -57,15 +52,14 @@ struct SolverBenchReport {
   std::string metrics_json;
 
   bool all_identical() const;
-  // feio.report/1 envelope, kind "bench", payload "feio.bench.solver/3".
+  // feio.report/1 envelope, kind "bench", payload "feio.bench.solver/4".
   std::string render_json() const;
   std::string render_table() const;
 };
 
-// Runs the harness. threads <= 0 selects util::hardware_threads(); quick
-// restricts the sweep to two small meshes for the CI smoke job (the full
-// sweep reaches ~10^6 dofs on the big plate-with-holes mesh). The process
-// default thread count is restored on return.
-SolverBenchReport run_solver_bench(int threads, bool quick);
+// Runs the harness on the calling thread. quick restricts the sweep to two
+// small meshes for the CI smoke job (the full sweep reaches ~10^6 dofs on
+// the big plate-with-holes mesh).
+SolverBenchReport run_solver_bench(bool quick);
 
 }  // namespace feio::scenarios

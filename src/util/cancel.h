@@ -14,10 +14,10 @@
 //     the token is cancelled or past its deadline.
 //   - The token reaches deep loops the same way the tracer does: a
 //     thread-local "current" pointer installed by ScopedCancel (plumbed from
-//     feio::RunOptions by the pipeline entry points). ThreadPool::run_chunks
-//     re-installs the submitting thread's token on whichever worker executes
-//     each chunk and checks it at every chunk boundary, so cancellation
-//     works identically at any thread count.
+//     feio::RunOptions by the pipeline entry points). util::parallel_for
+//     re-installs the calling thread's token on every lane of a batch and
+//     checks it before each item, so cancellation works identically at any
+//     thread count.
 //   - Determinism: checks only ever *abort* a run (by throwing); they never
 //     steer it. A run that finishes under its deadline is byte-identical to
 //     an undeadlined run; a run that does not finish produces no partial
@@ -77,8 +77,8 @@ class CancelToken {
 // Installs `t` as the calling thread's current token for the scope; restores
 // the previous token on destruction. A null `t` is a no-op (the surrounding
 // token, if any, stays current) — this lets RunOptions plumbing install
-// unconditionally. ThreadPool::run_chunks uses the same scope to carry the
-// submitting thread's token onto pool workers per chunk.
+// unconditionally. util::parallel_for uses the same scope to carry the
+// calling thread's token onto every lane of a batch.
 class ScopedCancel {
  public:
   explicit ScopedCancel(const CancelToken* t);
@@ -96,7 +96,7 @@ class ScopedCancel {
 // Cooperative cancellation check point: throws feio::util::Cancelled when
 // the calling thread's current token is cancelled or past its deadline.
 // One thread-local load when no token is installed. Call at loop granularity
-// coarse enough to stay off profiles (chunk boundaries, solver panels,
+// coarse enough to stay off profiles (batch items, solver panels,
 // pipeline stages) — never per element of a hot inner loop.
 #define FEIO_CHECK_CANCEL(site)                                        \
   do {                                                                 \

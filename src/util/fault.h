@@ -9,8 +9,8 @@
 // thread-local pointer load) until a FaultScope arms a site.
 //
 // Arming is scoped and thread-local, like cancellation: a FaultScope owns
-// the armed set for its scope, ThreadPool::run_chunks carries the submitting
-// thread's set onto pool workers per chunk, and destroying the scope fully
+// the armed set for its scope, util::parallel_for carries the calling
+// thread's set onto every lane of a batch, and destroying the scope fully
 // resets the state — one serve job's fault can never leak into the next.
 // A fired site throws util::FaultInjected (code E-RES-006), which
 // run_checked turns into a structured diagnostic.
@@ -71,7 +71,7 @@ class FaultScope {
   bool arm(std::string_view spec, std::string& error);
 
   // The calling thread's installed set, or nullptr. Exposed for
-  // ThreadPool::run_chunks, which re-installs it on workers per chunk.
+  // util::parallel_for, which re-installs it on every lane of a batch.
   static detail::FaultSet* current();
 
  private:

@@ -8,7 +8,7 @@
 //      rejection Diag without throwing — the job is never started.
 //   2. In-run guards (assembler node numbering, FEM dof count, envelope
 //      factor storage): a ScopedGuard installs the limits thread-locally
-//      (inherited across parallel chunks like the cancel token), and the
+//      (inherited by parallel_for lanes like the cancel token), and the
 //      guard_check_* helpers throw util::ResourceError at the first point
 //      the pipeline can bound the job's size — before the big allocation,
 //      not after the OOM.
@@ -65,8 +65,8 @@ struct GuardOverrides {
 };
 
 // Installs `g` as the calling thread's limits for the scope; restores the
-// previous limits on destruction. Null is a no-op. ThreadPool::run_chunks
-// carries the submitting thread's limits onto pool workers per chunk.
+// previous limits on destruction. Null is a no-op. util::parallel_for
+// carries the calling thread's limits onto every lane of a batch.
 class ScopedGuard {
  public:
   explicit ScopedGuard(const GuardLimits* g);

@@ -14,10 +14,10 @@
 //   2. Thread-safe via per-thread buffers. Each thread appends to its own
 //      buffer (registered under a mutex on first use); render_json() merges
 //      the buffers in registration order, so a span that begins and ends on
-//      a ThreadPool worker lands in that worker's lane with balanced
-//      begin/end events.
-//   3. Spans may be opened anywhere, including inside ThreadPool chunk
-//      bodies; a span must begin and end on the same thread (RAII
+//      a parallel_for lane or serve worker lands in that thread's lane
+//      with balanced begin/end events.
+//   3. Spans may be opened anywhere, including inside parallel_for items
+//      and serve jobs; a span must begin and end on the same thread (RAII
 //      guarantees this).
 //
 // Install a tracer for the process with Tracer::install()/uninstall() (the

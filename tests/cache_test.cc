@@ -250,27 +250,21 @@ TEST(FactorCacheTest, CachedSolveIsBitIdenticalToCold) {
   const mesh::TriMesh m = strip_mesh(8);
   const fem::StaticProblem p = cantilever(m);
 
-  for (const int threads : {1, 8}) {
-    fem::FactorCache cache(4);
-    RunOptions cold;
-    cold.threads = threads;
-    const fem::StaticSolution u_cold = fem::solve(p, cold);
+  fem::FactorCache cache(4);
+  const fem::StaticSolution u_cold = fem::solve(p, RunOptions{});
 
-    RunOptions warm = cold;
-    warm.factor_cache = &cache;
-    const fem::StaticSolution u_fill = fem::solve(p, warm);   // miss + fill
-    const fem::StaticSolution u_hit = fem::solve(p, warm);    // hit
-    const fem::FactorCacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, 1) << "threads=" << threads;
-    EXPECT_EQ(s.hits, 1) << "threads=" << threads;
-    EXPECT_EQ(s.entries, 1) << "threads=" << threads;
+  RunOptions warm;
+  warm.factor_cache = &cache;
+  const fem::StaticSolution u_fill = fem::solve(p, warm);   // miss + fill
+  const fem::StaticSolution u_hit = fem::solve(p, warm);    // hit
+  const fem::FactorCacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.entries, 1);
 
-    const auto cold_bits = solution_bits(m, p, u_cold);
-    EXPECT_EQ(cold_bits, solution_bits(m, p, u_fill))
-        << "cold-fill mismatch at threads=" << threads;
-    EXPECT_EQ(cold_bits, solution_bits(m, p, u_hit))
-        << "cache-hit mismatch at threads=" << threads;
-  }
+  const auto cold_bits = solution_bits(m, p, u_cold);
+  EXPECT_EQ(cold_bits, solution_bits(m, p, u_fill)) << "cold-fill mismatch";
+  EXPECT_EQ(cold_bits, solution_bits(m, p, u_hit)) << "cache-hit mismatch";
 }
 
 TEST(FactorCacheTest, RepeatSolvesHitAfterFirstMiss) {
@@ -278,7 +272,6 @@ TEST(FactorCacheTest, RepeatSolvesHitAfterFirstMiss) {
   const fem::StaticProblem p = cantilever(m);
   fem::FactorCache cache(4);
   RunOptions opts;
-  opts.threads = 1;
   opts.factor_cache = &cache;
   for (int k = 0; k < 5; ++k) fem::solve(p, opts);
   const fem::FactorCacheStats s = cache.stats();
@@ -311,7 +304,6 @@ TEST(FactorCacheTest, OperatorKeyIgnoresLoadsButSeesMaterialAndConstraints) {
   // base and pushed share an operator: one cold solve, one load-reuse hit.
   fem::FactorCache cache(8);
   RunOptions opts;
-  opts.threads = 1;
   opts.factor_cache = &cache;
   fem::solve(base, opts);
   fem::solve(stiffer, opts);
@@ -326,7 +318,8 @@ TEST(FactorCacheTest, OperatorKeyIgnoresLoadsButSeesMaterialAndConstraints) {
 TEST(FactorCacheTest, LoadReuseIsBitIdenticalToColdAtAnyThreadCount) {
   // The acceptance contract for the key split: warm-solving a *different*
   // load case against a cached factorization must be bit-identical to
-  // cold-solving that load case, at 1 and 8 threads.
+  // cold-solving that load case. The solve is serial, so the same holds
+  // on any thread a deck batch or serve worker runs it on.
   const mesh::TriMesh m = strip_mesh(8);
 
   auto loaded = [&](double fx, double fy) {
@@ -338,30 +331,24 @@ TEST(FactorCacheTest, LoadReuseIsBitIdenticalToColdAtAnyThreadCount) {
     return p;
   };
 
-  for (const int threads : {1, 8}) {
-    const fem::StaticProblem first = loaded(0.0, -1.0);
-    const fem::StaticProblem second = loaded(2.5, 0.75);
+  const fem::StaticProblem first = loaded(0.0, -1.0);
+  const fem::StaticProblem second = loaded(2.5, 0.75);
+  const fem::StaticSolution u_cold = fem::solve(second, RunOptions{});
 
-    RunOptions cold;
-    cold.threads = threads;
-    const fem::StaticSolution u_cold = fem::solve(second, cold);
+  fem::FactorCache cache(4);
+  RunOptions warm;
+  warm.factor_cache = &cache;
+  fem::solve(first, warm);  // miss: fills the operator entry
+  const fem::StaticSolution u_warm = fem::solve(second, warm);
 
-    fem::FactorCache cache(4);
-    RunOptions warm = cold;
-    warm.factor_cache = &cache;
-    fem::solve(first, warm);  // miss: fills the operator entry
-    const fem::StaticSolution u_warm = fem::solve(second, warm);
+  const fem::FactorCacheStats s = cache.stats();
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.hits, 1);
+  EXPECT_EQ(s.load_reuses, 1);
+  EXPECT_EQ(s.entries, 1);
 
-    const fem::FactorCacheStats s = cache.stats();
-    EXPECT_EQ(s.misses, 1) << "threads=" << threads;
-    EXPECT_EQ(s.hits, 1) << "threads=" << threads;
-    EXPECT_EQ(s.load_reuses, 1) << "threads=" << threads;
-    EXPECT_EQ(s.entries, 1) << "threads=" << threads;
-
-    EXPECT_EQ(solution_bits(m, second, u_cold),
-              solution_bits(m, second, u_warm))
-        << "load-reuse mismatch at threads=" << threads;
-  }
+  EXPECT_EQ(solution_bits(m, second, u_cold), solution_bits(m, second, u_warm))
+      << "load-reuse mismatch";
 }
 
 TEST(FactorCacheTest, ThermalFieldStaysInTheOperatorKey) {
@@ -379,7 +366,6 @@ TEST(FactorCacheTest, DisabledCacheNeverCounts) {
   const fem::StaticProblem p = cantilever(m);
   fem::FactorCache cache(0);
   RunOptions opts;
-  opts.threads = 1;
   opts.factor_cache = &cache;
   fem::solve(p, opts);
   fem::solve(p, opts);
@@ -399,7 +385,6 @@ TEST(FactorCacheTest, FailedSolveDoesNotPoisonCache) {
 
   fem::FactorCache cache(4);
   RunOptions opts;
-  opts.threads = 1;
   opts.factor_cache = &cache;
   EXPECT_THROW(fem::solve(p, opts), Error);
   const fem::FactorCacheStats s = cache.stats();

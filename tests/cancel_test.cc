@@ -1,7 +1,7 @@
 // Tests for the robustness primitives (docs/ROBUSTNESS.md): deadlines and
 // cooperative cancellation (util/cancel.h), admission guards (util/guard.h)
 // and fault injection (util/fault.h), plus their plumbing through
-// RunOptions, run_checked, fem::solve and util::ThreadPool::run_chunks.
+// RunOptions, run_checked, fem::solve and util::parallel_for.
 #include "util/cancel.h"
 
 #include <algorithm>
@@ -155,38 +155,36 @@ TEST(CancelTest, ExpiredTokenStopsStaticSolve) {
   EXPECT_NO_THROW(fem::solve(problem, RunOptions{}));
 }
 
-// --- Cancellation across the thread pool -----------------------------------
+// --- Cancellation across a parallel_for batch ------------------------------
 
 TEST(CancelTest, ParallelChunksObserveTheSubmittersToken) {
-  util::ThreadPool pool(3);
   util::CancelToken t;
   t.cancel();
   util::ScopedCancel scope(&t);
   std::atomic<int> ran{0};
   try {
-    pool.run_chunks(1000, 8, [&](int, std::int64_t, std::int64_t) { ran++; });
-    FAIL() << "expected Cancelled from the chunk boundary check";
+    util::parallel_for(1000, [&](std::int64_t) { ran++; }, 4);
+    FAIL() << "expected Cancelled from the per-item check";
   } catch (const util::Cancelled& e) {
     EXPECT_EQ(e.code(), "E-RES-005");
   }
-  EXPECT_EQ(ran, 0);  // every chunk checked before running its body
+  EXPECT_EQ(ran, 0);  // every item checked before running its body
 }
 
 TEST(CancelTest, MidRunCancelStopsRemainingChunks) {
-  util::ThreadPool pool(2);
   util::CancelToken t;
   util::ScopedCancel scope(&t);
   std::atomic<int> ran{0};
-  EXPECT_THROW(
-      pool.run_chunks(64, 64,
-                      [&](int c, std::int64_t, std::int64_t) {
-                        ran++;
-                        if (c == 0) t.cancel();  // workers see it at the
-                                                 // next chunk boundary
-                        std::this_thread::sleep_for(
-                            std::chrono::milliseconds(1));
-                      }),
-      util::Cancelled);
+  EXPECT_THROW(util::parallel_for(
+                   64,
+                   [&](std::int64_t i) {
+                     ran++;
+                     if (i == 0) t.cancel();  // every lane sees it before
+                                              // its next item
+                     std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                   },
+                   3),
+               util::Cancelled);
   EXPECT_LT(ran.load(), 64);
 }
 
@@ -249,15 +247,17 @@ TEST(GuardTest, GuardsAreInheritedAcrossParallelChunks) {
   util::GuardLimits limits;
   limits.max_dofs = 7;
   util::ScopedGuard scope(&limits);
-  util::ThreadPool pool(2);
   std::atomic<int> threw{0};
-  pool.run_chunks(4, 4, [&](int, std::int64_t, std::int64_t) {
-    try {
-      util::guard_check_dofs(8, "chunk dofs");
-    } catch (const ResourceError&) {
-      threw++;
-    }
-  });
+  util::parallel_for(
+      4,
+      [&](std::int64_t) {
+        try {
+          util::guard_check_dofs(8, "item dofs");
+        } catch (const ResourceError&) {
+          threw++;
+        }
+      },
+      4);
   EXPECT_EQ(threw, 4);
 }
 

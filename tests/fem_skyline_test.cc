@@ -505,9 +505,33 @@ TEST(SkylineMatrixTest, AdoptFactorReplaysBitIdentically) {
 
 // ---- determinism ----------------------------------------------------------
 
-// Serial and 8-thread factorizations/solves are byte-identical: the chunk
-// partition may differ with the thread count, but no entry's summation is
-// ever resplit.
+// A factorization and solve of `a` against `b`.
+struct FactorSolve {
+  SkylineMatrix factor;
+  std::vector<double> x;
+};
+
+// Factorizes and solves `items` copies of (a, b) as the items of one
+// util::parallel_for batch at `items` threads — solves side by side, as a
+// deck batch or serve's pool runs them.
+std::vector<FactorSolve> factor_solve_batch(const SkylineMatrix& a,
+                                            const std::vector<double>& b,
+                                            int items) {
+  std::vector<FactorSolve> out(static_cast<size_t>(items), FactorSolve{a, b});
+  util::parallel_for(
+      items,
+      [&](std::int64_t i) {
+        FactorSolve& fs = out[static_cast<size_t>(i)];
+        fs.factor.factorize();
+        fs.factor.solve(fs.x);
+      },
+      items);
+  return out;
+}
+
+// Eight factorizations/solves running concurrently on eight threads are
+// each byte-identical to one run on the caller alone: the kernel is serial,
+// and nothing it touches is shared between runs.
 TEST(SkylineDeterminismTest, EightThreadsBitIdenticalToSerial) {
   for (const auto& [n, max_h] : {std::pair{193, 40}, std::pair{128, 48},
                                  std::pair{60, 12}}) {
@@ -521,30 +545,21 @@ TEST(SkylineDeterminismTest, EightThreadsBitIdenticalToSerial) {
 
     SkylineMatrix f1 = a;
     std::vector<double> x1 = b;
-    {
-      util::ScopedThreads serial(1);
-      f1.factorize();
-      f1.solve(x1);
-    }
+    f1.factorize();
+    f1.solve(x1);
 
-    SkylineMatrix f8 = a;
-    std::vector<double> x8 = b;
-    {
-      util::ScopedThreads eight(8);
-      f8.factorize();
-      f8.solve(x8);
-    }
-
-    ASSERT_EQ(f1.values().size(), f8.values().size());
-    for (size_t s = 0; s < f1.values().size(); ++s) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(f1.values()[s]),
-                std::bit_cast<std::uint64_t>(f8.values()[s]))
-          << "factor slot " << s << " n=" << n << " max_h=" << max_h;
-    }
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(x1[static_cast<size_t>(i)]),
-                std::bit_cast<std::uint64_t>(x8[static_cast<size_t>(i)]))
-          << "solution entry " << i << " n=" << n << " max_h=" << max_h;
+    for (const FactorSolve& f8 : factor_solve_batch(a, b, 8)) {
+      ASSERT_EQ(f1.values().size(), f8.factor.values().size());
+      for (size_t s = 0; s < f1.values().size(); ++s) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(f1.values()[s]),
+                  std::bit_cast<std::uint64_t>(f8.factor.values()[s]))
+            << "factor slot " << s << " n=" << n << " max_h=" << max_h;
+      }
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x1[static_cast<size_t>(i)]),
+                  std::bit_cast<std::uint64_t>(f8.x[static_cast<size_t>(i)]))
+            << "solution entry " << i << " n=" << n << " max_h=" << max_h;
+      }
     }
   }
 }
@@ -561,27 +576,20 @@ TEST(BandedDeterminismTest, EightThreadsBitIdenticalToSerial) {
 
     SkylineMatrix f1 = a;
     std::vector<double> x1 = b;
-    {
-      util::ScopedThreads serial(1);
-      f1.factorize();
-      f1.solve(x1);
-    }
-    SkylineMatrix f8 = a;
-    std::vector<double> x8 = b;
-    {
-      util::ScopedThreads eight(8);
-      f8.factorize();
-      f8.solve(x8);
-    }
-    for (size_t s = 0; s < f1.values().size(); ++s) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(f1.values()[s]),
-                std::bit_cast<std::uint64_t>(f8.values()[s]))
-          << "factor slot " << s << " n=" << n << " hbw=" << hbw;
-    }
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(x1[static_cast<size_t>(i)]),
-                std::bit_cast<std::uint64_t>(x8[static_cast<size_t>(i)]))
-          << "solution entry " << i << " n=" << n << " hbw=" << hbw;
+    f1.factorize();
+    f1.solve(x1);
+    for (const FactorSolve& f8 : factor_solve_batch(a, b, 8)) {
+      ASSERT_EQ(f1.values().size(), f8.factor.values().size());
+      for (size_t s = 0; s < f1.values().size(); ++s) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(f1.values()[s]),
+                  std::bit_cast<std::uint64_t>(f8.factor.values()[s]))
+            << "factor slot " << s << " n=" << n << " hbw=" << hbw;
+      }
+      for (int i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x1[static_cast<size_t>(i)]),
+                  std::bit_cast<std::uint64_t>(f8.x[static_cast<size_t>(i)]))
+            << "solution entry " << i << " n=" << n << " hbw=" << hbw;
+      }
     }
   }
 }
@@ -752,10 +760,11 @@ idlz::IdlzCase plate_with_holes_case() {
   return c;
 }
 
-// Solves the canonical cantilever on an RCM-ordered idealization at 1 and
-// 4 threads: the factors and solutions are bit-identical and match their
-// pinned digests, and the relative residual ||K u - f|| / ||f|| against an
-// unfactorized copy of K is tiny.
+// Solves the canonical cantilever on an RCM-ordered idealization twice, as
+// the two items of one 2-thread parallel_for batch: the two factors and
+// solutions are bit-identical and match their pinned digests, and the
+// relative residual ||K u - f|| / ||f|| against an unfactorized copy of K
+// is tiny.
 void expect_scale_solve(const idlz::IdlzCase& c, const std::string& factor,
                         const std::string& solution) {
   RunOptions ro;
@@ -766,31 +775,22 @@ void expect_scale_solve(const idlz::IdlzCase& c, const std::string& factor,
   std::vector<double> f;
   p.assemble(k, f);
 
-  SkylineMatrix f1 = k;
-  std::vector<double> u1 = f;
-  {
-    util::ScopedThreads one(1);
-    f1.factorize();
-    f1.solve(u1);
-  }
-  SkylineMatrix f4 = k;
-  std::vector<double> u4 = f;
-  {
-    util::ScopedThreads four(4);
-    f4.factorize();
-    f4.solve(u4);
-  }
-  ASSERT_EQ(f1.values().size(), f4.values().size());
+  const std::vector<FactorSolve> arms = factor_solve_batch(k, f, 2);
+  const SkylineMatrix& f1 = arms[0].factor;
+  const std::vector<double>& u1 = arms[0].x;
+  const SkylineMatrix& f2 = arms[1].factor;
+  const std::vector<double>& u2 = arms[1].x;
+  ASSERT_EQ(f1.values().size(), f2.values().size());
   size_t factor_diffs = 0;
   for (size_t s = 0; s < f1.values().size(); ++s) {
     factor_diffs += std::bit_cast<std::uint64_t>(f1.values()[s]) !=
-                    std::bit_cast<std::uint64_t>(f4.values()[s]);
+                    std::bit_cast<std::uint64_t>(f2.values()[s]);
   }
   EXPECT_EQ(factor_diffs, 0u);
   size_t solution_diffs = 0;
   for (size_t i = 0; i < u1.size(); ++i) {
     solution_diffs += std::bit_cast<std::uint64_t>(u1[i]) !=
-                      std::bit_cast<std::uint64_t>(u4[i]);
+                      std::bit_cast<std::uint64_t>(u2[i]);
   }
   EXPECT_EQ(solution_diffs, 0u);
   expect_pinned(f1, u1, factor, solution);
@@ -897,20 +897,25 @@ TEST(PredictStorageTest, WideBaseNarrowWebPicksSkyline) {
   EXPECT_LT(pred.skyline_bytes, pred.band_bytes - pred.band_bytes / 4);
 }
 
+// fem::solve on the caller alone and as each item of an 8-thread batch.
 TEST(StaticSolveTest, BitIdenticalAcrossThreadCounts) {
   const mesh::TriMesh m = tower_mesh(40, 60);
   const fem::StaticProblem p = cantilever(m);
-  RunOptions one;
-  one.threads = 1;
-  RunOptions eight = one;
-  eight.threads = 8;
-  const StaticSolution u1 = solve(p, one);
-  const StaticSolution u8 = solve(p, eight);
-  for (int n = 0; n < m.num_nodes(); ++n) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(u1.at(n).x),
-              std::bit_cast<std::uint64_t>(u8.at(n).x));
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(u1.at(n).y),
-              std::bit_cast<std::uint64_t>(u8.at(n).y));
+  const StaticSolution u1 = solve(p, RunOptions{});
+  std::vector<StaticSolution> batch(8);
+  util::parallel_for(
+      8,
+      [&](std::int64_t i) {
+        batch[static_cast<size_t>(i)] = solve(p, RunOptions{});
+      },
+      8);
+  for (const StaticSolution& u8 : batch) {
+    for (int n = 0; n < m.num_nodes(); ++n) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(u1.at(n).x),
+                std::bit_cast<std::uint64_t>(u8.at(n).x));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(u1.at(n).y),
+                std::bit_cast<std::uint64_t>(u8.at(n).y));
+    }
   }
 }
 

@@ -20,7 +20,6 @@
 #include <gtest/gtest.h>
 
 #include "digest.h"
-#include "feio/run_options.h"
 #include "idlz/idlz.h"
 #include "idlz/listing.h"
 #include "ospl/ospl.h"
@@ -55,34 +54,66 @@ std::string slug(std::string s) {
 
 using Table = std::vector<std::pair<std::string, std::string>>;
 
-// The whole gallery at `threads`, in figure order.
-Table compute(int threads) {
-  util::ScopedThreads scope(threads);
-  RunOptions ro;
-  ro.threads = threads;
+// Appends the row keyed "<fig> <what>".
+void add_row(Table& t, const std::string& fig, const std::string& what,
+             std::string value) {
+  t.emplace_back(fig + " " + what, std::move(value));
+}
+
+// The rows of one idealization figure.
+Table idealization_rows(scenarios::NamedCase& nc) {
   Table t;
-  auto row = [&](const std::string& fig, const std::string& what,
-                 std::string value) {
-    t.emplace_back(fig + " " + what, std::move(value));
-  };
-
-  for (scenarios::NamedCase& nc : scenarios::all_idealizations()) {
-    nc.c.options.make_plots = true;
-    nc.c.options.renumber_nodes = true;
-    nc.c.options.punch_output = true;
-    const idlz::IdlzResult r = idlz::run(nc.c, ro);
-    const std::string fig = "idlz/" + nc.id;
-    row(fig, "nodes", std::to_string(r.mesh.num_nodes()));
-    row(fig, "elements", std::to_string(r.mesh.num_elements()));
-    row(fig, "listing", digest(idlz::print_listing(r)));
-    row(fig, "cards.nodal", digest(r.nodal_cards));
-    row(fig, "cards.element", digest(r.element_cards));
-    for (std::size_t i = 0; i < r.plots.size(); ++i) {
-      row(fig, "svg." + std::to_string(i),
-          digest(plot::render_svg(r.plots[i])));
-    }
+  nc.c.options.make_plots = true;
+  nc.c.options.renumber_nodes = true;
+  nc.c.options.punch_output = true;
+  const idlz::IdlzResult r = idlz::run(nc.c);
+  const std::string fig = "idlz/" + nc.id;
+  add_row(t, fig, "nodes", std::to_string(r.mesh.num_nodes()));
+  add_row(t, fig, "elements", std::to_string(r.mesh.num_elements()));
+  add_row(t, fig, "listing", digest(idlz::print_listing(r)));
+  add_row(t, fig, "cards.nodal", digest(r.nodal_cards));
+  add_row(t, fig, "cards.element", digest(r.element_cards));
+  for (std::size_t i = 0; i < r.plots.size(); ++i) {
+    add_row(t, fig, "svg." + std::to_string(i),
+            digest(plot::render_svg(r.plots[i])));
   }
+  return t;
+}
 
+// The rows of one analysis figure.
+Table analysis_rows(scenarios::AnalysisOutput (*analysis)()) {
+  Table t;
+  const scenarios::AnalysisOutput a = analysis();
+  const std::string fig = "analysis/" + a.id;
+  const mesh::TriMesh& m = a.idlz.mesh;
+  add_row(t, fig, "nodes", std::to_string(m.num_nodes()));
+  add_row(t, fig, "elements", std::to_string(m.num_elements()));
+  if (!a.displacement.empty()) {
+    add_row(t, fig, "field.displacement", digest(a.displacement));
+    add_row(t, fig, "svg.deformed",
+            digest(plot::render_svg(
+                plot::plot_deformed(m, a.displacement, a.title))));
+  }
+  for (const scenarios::FieldOutput& f : a.fields) {
+    add_row(t, fig, "field." + slug(f.name), digest(f.values));
+    ospl::OsplCase c;
+    c.mesh = m;
+    c.values = f.values;
+    c.title1 = a.title;
+    c.title2 = f.name;
+    c.delta = f.suggested_delta;
+    add_row(t, fig, "svg." + slug(f.name),
+            digest(plot::render_svg(ospl::run(c).plot)));
+  }
+  return t;
+}
+
+// The whole gallery in figure order, each of the 31 figures one item of a
+// util::parallel_for batch at `threads` — the way `feio --threads N` runs
+// a batch of decks.
+Table compute(int threads) {
+  std::vector<scenarios::NamedCase> idealizations =
+      scenarios::all_idealizations();
   const std::vector<scenarios::AnalysisOutput (*)()> analyses = {
       scenarios::fig13_analysis,  scenarios::fig13_contact_analysis,
       scenarios::fig14_analysis,  scenarios::fig14_thermal_stress_analysis,
@@ -90,30 +121,18 @@ Table compute(int threads) {
       scenarios::fig17_analysis,  scenarios::fig18_analysis,
       scenarios::kirsch_analysis,
   };
-  for (auto* analysis : analyses) {
-    const scenarios::AnalysisOutput a = analysis();
-    const std::string fig = "analysis/" + a.id;
-    const mesh::TriMesh& m = a.idlz.mesh;
-    row(fig, "nodes", std::to_string(m.num_nodes()));
-    row(fig, "elements", std::to_string(m.num_elements()));
-    if (!a.displacement.empty()) {
-      row(fig, "field.displacement", digest(a.displacement));
-      row(fig, "svg.deformed",
-          digest(plot::render_svg(
-              plot::plot_deformed(m, a.displacement, a.title))));
-    }
-    for (const scenarios::FieldOutput& f : a.fields) {
-      row(fig, "field." + slug(f.name), digest(f.values));
-      ospl::OsplCase c;
-      c.mesh = m;
-      c.values = f.values;
-      c.title1 = a.title;
-      c.title2 = f.name;
-      c.delta = f.suggested_delta;
-      row(fig, "svg." + slug(f.name),
-          digest(plot::render_svg(ospl::run(c, ro).plot)));
-    }
-  }
+  const std::size_t n_idlz = idealizations.size();
+  std::vector<Table> figures(n_idlz + analyses.size());
+  util::parallel_for(
+      static_cast<std::int64_t>(figures.size()),
+      [&](std::int64_t li) {
+        const std::size_t i = static_cast<std::size_t>(li);
+        figures[i] = i < n_idlz ? idealization_rows(idealizations[i])
+                                : analysis_rows(analyses[i - n_idlz]);
+      },
+      threads);
+  Table t;
+  for (const Table& f : figures) t.insert(t.end(), f.begin(), f.end());
   return t;
 }
 

@@ -1,14 +1,14 @@
-// Tests for util::ThreadPool / parallel_for, and for the determinism
-// contract at the API level: pipeline output must be byte-identical for
-// any thread count.
+// Tests for util::parallel_for and util::ThreadPool, and for the
+// determinism contract at the API level: pipeline output must be
+// byte-identical for any thread count.
 #include "util/parallel.h"
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -30,19 +30,6 @@ using namespace feio;
 
 namespace {
 
-// Restores the process default thread count on scope exit so tests cannot
-// leak a threaded default into each other.
-class ThreadsGuard {
- public:
-  explicit ThreadsGuard(int n) : saved_(util::default_threads()) {
-    util::set_default_threads(n);
-  }
-  ~ThreadsGuard() { util::set_default_threads(saved_); }
-
- private:
-  int saved_;
-};
-
 TEST(ParallelTest, ParseThreadCountSharedFlagParser) {
   int out = -1;
   EXPECT_TRUE(util::parse_thread_count("1", out));
@@ -50,7 +37,7 @@ TEST(ParallelTest, ParseThreadCountSharedFlagParser) {
   EXPECT_TRUE(util::parse_thread_count("16", out));
   EXPECT_EQ(out, 16);
   EXPECT_TRUE(util::parse_thread_count("all", out));
-  EXPECT_EQ(out, 0);  // set_default_threads() convention for "all hardware"
+  EXPECT_EQ(out, 0);  // resolve_threads() reads 0 as every hardware thread
   out = 99;
   EXPECT_FALSE(util::parse_thread_count("0", out));
   EXPECT_FALSE(util::parse_thread_count("-2", out));
@@ -59,29 +46,6 @@ TEST(ParallelTest, ParseThreadCountSharedFlagParser) {
   EXPECT_FALSE(util::parse_thread_count("ALL", out));
   EXPECT_FALSE(util::parse_thread_count("1234567890", out));  // > 9 digits
   EXPECT_EQ(out, 99);  // rejected values leave `out` untouched
-}
-
-TEST(ParallelTest, ScopedThreadsOverridesAndRestoresDefault) {
-  ThreadsGuard outer(1);
-  {
-    util::ScopedThreads scoped(3);
-    EXPECT_EQ(util::default_threads(), 3);
-    {
-      util::ScopedThreads noop(0);  // 0 = leave the default untouched
-      EXPECT_EQ(util::default_threads(), 3);
-    }
-    EXPECT_EQ(util::default_threads(), 3);
-  }
-  EXPECT_EQ(util::default_threads(), 1);
-}
-
-TEST(ParallelTest, ChunkCountClampsToRangeAndThreads) {
-  EXPECT_EQ(util::chunk_count(0, 8), 1);
-  EXPECT_EQ(util::chunk_count(3, 8), 3);
-  EXPECT_EQ(util::chunk_count(100, 4), 4);
-  EXPECT_EQ(util::chunk_count(100, 1), 1);
-  ThreadsGuard guard(1);
-  EXPECT_EQ(util::chunk_count(100, 0), 1);  // threads=0 -> serial default
 }
 
 TEST(ParallelTest, ParallelForVisitsEveryIndexExactlyOnce) {
@@ -95,73 +59,55 @@ TEST(ParallelTest, ParallelForVisitsEveryIndexExactlyOnce) {
 TEST(ParallelTest, ZeroSizedRangeNeverCallsBody) {
   std::atomic<int> calls{0};
   util::parallel_for(0, [&](std::int64_t) { calls++; }, 8);
-  util::ThreadPool pool(2);
-  pool.run_chunks(0, 4, [&](int, std::int64_t, std::int64_t) { calls++; });
+  util::parallel_for(-3, [&](std::int64_t) { calls++; }, 8);
   EXPECT_EQ(calls, 0);
 }
 
-TEST(ParallelTest, ChunksAreContiguousOrderedAndTimingIndependent) {
-  util::ThreadPool pool(3);
-  const std::int64_t n = 103;
-  const int chunks = 7;
-  std::mutex mu;
-  std::vector<std::array<std::int64_t, 3>> seen;
-  pool.run_chunks(n, chunks, [&](int c, std::int64_t begin, std::int64_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back({c, begin, end});
-  });
-  ASSERT_EQ(seen.size(), static_cast<size_t>(chunks));
-  std::sort(seen.begin(), seen.end());
-  for (int c = 0; c < chunks; ++c) {
-    // The partition depends only on (n, chunks): chunk c is
-    // [n*c/chunks, n*(c+1)/chunks).
-    EXPECT_EQ(seen[static_cast<size_t>(c)][0], c);
-    EXPECT_EQ(seen[static_cast<size_t>(c)][1], n * c / chunks);
-    EXPECT_EQ(seen[static_cast<size_t>(c)][2], n * (c + 1) / chunks);
-  }
-}
-
 TEST(ParallelTest, LowestIndexedExceptionWinsAndAllChunksComplete) {
-  util::ThreadPool pool(3);
   std::atomic<int> completed{0};
   try {
-    pool.run_chunks(100, 4, [&](int c, std::int64_t, std::int64_t) {
-      if (c == 1 || c == 3) throw std::runtime_error("chunk " + std::to_string(c));
-      completed++;
-    });
-    FAIL() << "expected the chunk-1 exception to propagate";
+    util::parallel_for(
+        4,
+        [&](std::int64_t i) {
+          if (i == 1 || i == 3) {
+            throw std::runtime_error("item " + std::to_string(i));
+          }
+          completed++;
+        },
+        4);
+    FAIL() << "expected the item-1 exception to propagate";
   } catch (const std::runtime_error& e) {
-    // Chunk 1's error is what a serial left-to-right sweep would hit first.
-    EXPECT_STREQ(e.what(), "chunk 1");
+    // Item 1's error is what a serial left-to-right sweep would hit first.
+    EXPECT_STREQ(e.what(), "item 1");
   }
-  EXPECT_EQ(completed, 2);  // chunks 0 and 2 still ran to completion
+  EXPECT_EQ(completed, 2);  // items 0 and 2 still ran to completion
 }
 
-// Every chunk throws, across several pool shapes: the winner must always be
-// chunk 0 (what a serial sweep would hit first), every queued chunk must be
-// drained rather than leaked, and the pool must stay usable — repeatedly.
+// Every item throws, at several thread counts: the winner must always be
+// item 0 (what a serial sweep would hit first), every item must run rather
+// than be skipped, and the next batch must run normally — repeatedly.
 TEST(ParallelTest, AllChunksThrowingIsDeterministicAcrossPoolSizes) {
   for (int threads : {1, 2, 3, 8}) {
-    util::ThreadPool pool(threads);
     for (int round = 0; round < 5; ++round) {
       std::atomic<int> attempted{0};
       try {
-        pool.run_chunks(1000, 32, [&](int c, std::int64_t, std::int64_t) {
-          attempted++;
-          throw std::runtime_error("chunk " + std::to_string(c));
-        });
+        util::parallel_for(
+            32,
+            [&](std::int64_t i) {
+              attempted++;
+              throw std::runtime_error("item " + std::to_string(i));
+            },
+            threads);
         FAIL() << "expected an exception (" << threads << " threads)";
       } catch (const std::runtime_error& e) {
-        EXPECT_STREQ(e.what(), "chunk 0") << threads << " threads";
+        EXPECT_STREQ(e.what(), "item 0") << threads << " threads";
       }
-      // run_chunks returns only after every chunk ran (drained, not
-      // leaked): a leaked chunk would surface as attempted < 32 here or as
-      // a stray execution corrupting the next round's count.
+      // parallel_for returns only after every item ran and every helper
+      // joined: a skipped or straggling item would surface as
+      // attempted != 32 here or corrupt the next round's count.
       EXPECT_EQ(attempted, 32) << threads << " threads, round " << round;
       std::atomic<std::int64_t> sum{0};
-      pool.run_chunks(10, 2, [&](int, std::int64_t begin, std::int64_t end) {
-        for (std::int64_t i = begin; i < end; ++i) sum += i;
-      });
+      util::parallel_for(10, [&](std::int64_t i) { sum += i; }, threads);
       EXPECT_EQ(sum, 45) << threads << " threads, round " << round;
     }
   }
@@ -182,53 +128,16 @@ TEST(ParallelTest, PostRunsDetachedTasks) {
   std::unique_lock<std::mutex> lock(mu);
   cv.wait(lock, [&] { return done == 100; });
   EXPECT_EQ(done, 100);
-  // post() shares the queue with run_chunks; both must keep working.
-  std::atomic<std::int64_t> sum{0};
-  pool.run_chunks(10, 4, [&](int, std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) sum += i;
-  });
-  EXPECT_EQ(sum, 45);
-}
-
-TEST(ParallelTest, PoolIsReusableAfterAnException) {
-  util::ThreadPool pool(2);
-  EXPECT_THROW(pool.run_chunks(10, 2,
-                               [](int, std::int64_t, std::int64_t) {
-                                 throw std::runtime_error("boom");
-                               }),
-               std::runtime_error);
-  std::atomic<std::int64_t> sum{0};
-  pool.run_chunks(10, 2, [&](int, std::int64_t begin, std::int64_t end) {
-    for (std::int64_t i = begin; i < end; ++i) sum += i;
-  });
-  EXPECT_EQ(sum, 45);
 }
 
 TEST(ParallelTest, NestedCallFromWorkerRunsSerialInlineWithoutDeadlock) {
+  // A parallel_for inside an item starts its own helpers, whichever lane
+  // the item runs on; every nested batch must complete and visit every
+  // index. Nested lanes run concurrently, so the sums are atomic.
   std::atomic<std::int64_t> total{0};
-  std::atomic<int> nested_on_worker{0};
-  std::atomic<bool> worker_started{false};
   util::parallel_for(
       4,
       [&](std::int64_t) {
-        if (util::ThreadPool::on_worker_thread()) {
-          worker_started = true;
-          nested_on_worker++;
-        } else if (util::hardware_threads() > 1) {
-          // The caller lane could otherwise finish every chunk before a
-          // pool worker wakes; hold it (bounded) until a worker has
-          // started one, so a nested call on a worker always happens.
-          const auto deadline =
-              std::chrono::steady_clock::now() + std::chrono::seconds(10);
-          while (!worker_started &&
-                 std::chrono::steady_clock::now() < deadline) {
-            std::this_thread::yield();
-          }
-        }
-        // A nested parallel_for must fall back to inline-serial on worker
-        // threads; either way it must complete and visit every index. On
-        // the caller lane it is a top-level call whose chunks run on the
-        // pool, so the sum is atomic.
         std::atomic<std::int64_t> local{0};
         util::parallel_for(
             100, [&](std::int64_t i) { local += i; }, 4);
@@ -236,9 +145,22 @@ TEST(ParallelTest, NestedCallFromWorkerRunsSerialInlineWithoutDeadlock) {
       },
       4);
   EXPECT_EQ(total, 4 * 4950);
-  if (util::hardware_threads() > 1) {
-    EXPECT_GT(nested_on_worker, 0);
-  }
+}
+
+// The lane count is min(threads, n): a batch of 3 items asked for 64
+// threads runs on at most 3 distinct threads, the caller among them.
+TEST(ParallelTest, LanesAreCappedAtTheItemCount) {
+  std::mutex mu;
+  std::set<std::thread::id> lanes;
+  util::parallel_for(
+      3,
+      [&](std::int64_t) {
+        std::lock_guard<std::mutex> lock(mu);
+        lanes.insert(std::this_thread::get_id());
+      },
+      64);
+  EXPECT_GE(lanes.size(), 1u);
+  EXPECT_LE(lanes.size(), 3u);
 }
 
 TEST(ParallelTest, ShutdownWhilePostingDrainsEveryTask) {
@@ -264,39 +186,11 @@ TEST(ParallelTest, ShutdownWhilePostingDrainsEveryTask) {
   EXPECT_EQ(ran.load(), 8 + 8 * 3);
 }
 
-TEST(ParallelTest, RunChunksReentryFromWorkerRunsInlineInAscendingOrder) {
-  // run_chunks re-entered from one of the pool's own workers (a posted task
-  // rather than a nested chunk body) must take the serial inline path: the
-  // same chunk partition in ascending order, executed entirely on the
-  // calling worker — never handed back to the pool, which could deadlock a
-  // fully busy queue. (Runs under the TSan CI job.)
-  util::ThreadPool pool(2);
-  std::mutex mu;
-  std::condition_variable cv;
-  bool done = false;
-  bool on_worker = false;
-  std::vector<int> order;
-  pool.post([&] {
-    const bool worker = util::ThreadPool::on_worker_thread();
-    std::vector<int> chunks;
-    pool.run_chunks(8, 4, [&](int c, std::int64_t begin, std::int64_t end) {
-      EXPECT_EQ(begin, 2 * c);
-      EXPECT_EQ(end, 2 * (c + 1));
-      chunks.push_back(c);  // inline-serial: no other thread touches this
-    });
-    std::lock_guard<std::mutex> lock(mu);
-    on_worker = worker;
-    order = std::move(chunks);
-    done = true;
-    cv.notify_one();
-  });
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return done; });
-  EXPECT_TRUE(on_worker);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
-// --- Determinism of the parallelized pipeline stages ----------------------
+// --- Determinism at any thread count ---------------------------------------
+//
+// Every stage is serial, and threads run whole decks side by side. So each
+// threaded arm below runs copies of one stage as the items of a single
+// parallel_for batch, and every item must match a run on the caller alone.
 
 std::vector<double> synthetic_field(const mesh::TriMesh& m) {
   std::vector<double> values;
@@ -328,35 +222,46 @@ TEST(ParallelDeterminismTest, ContoursIdenticalAtOneTwoAndEightThreads) {
   const double vmax = *std::max_element(values.begin(), values.end());
   const std::vector<double> levels =
       ospl::contour_levels(vmin, vmax, ospl::auto_interval(vmin, vmax));
-  std::vector<ospl::ContourSegment> serial;
-  {
-    ThreadsGuard guard(1);
-    serial = ospl::extract_contours(r.mesh, values, levels);
-  }
+  const std::vector<ospl::ContourSegment> serial =
+      ospl::extract_contours(r.mesh, values, levels);
   ASSERT_FALSE(serial.empty());
   for (int threads : {2, 8}) {
-    ThreadsGuard guard(threads);
-    expect_segments_identical(
-        serial, ospl::extract_contours(r.mesh, values, levels));
+    std::vector<std::vector<ospl::ContourSegment>> items(
+        static_cast<size_t>(threads));
+    util::parallel_for(
+        threads,
+        [&](std::int64_t i) {
+          items[static_cast<size_t>(i)] =
+              ospl::extract_contours(r.mesh, values, levels);
+        },
+        threads);
+    for (const auto& item : items) expect_segments_identical(serial, item);
   }
 }
 
 TEST(ParallelDeterminismTest, IdlzRunIdenticalSerialVsThreaded) {
   const idlz::IdlzCase c = scenarios::strip_case(10, 12, 2);
-  std::string serial_listing, serial_nodal, serial_element;
-  {
-    ThreadsGuard guard(1);
-    const idlz::IdlzResult r = idlz::run(c);
-    serial_listing = idlz::print_listing(r);
-    serial_nodal = r.nodal_cards;
-    serial_element = r.element_cards;
-  }
+  const idlz::IdlzResult serial = idlz::run(c);
+  const std::string serial_listing = idlz::print_listing(serial);
   for (int threads : {2, 8}) {
-    ThreadsGuard guard(threads);
-    const idlz::IdlzResult r = idlz::run(c);
-    EXPECT_EQ(idlz::print_listing(r), serial_listing) << threads << " threads";
-    EXPECT_EQ(r.nodal_cards, serial_nodal) << threads << " threads";
-    EXPECT_EQ(r.element_cards, serial_element) << threads << " threads";
+    std::vector<std::string> listings(static_cast<size_t>(threads));
+    std::vector<std::string> nodal(listings.size());
+    std::vector<std::string> element(listings.size());
+    util::parallel_for(
+        threads,
+        [&](std::int64_t li) {
+          const size_t i = static_cast<size_t>(li);
+          const idlz::IdlzResult r = idlz::run(c);
+          listings[i] = idlz::print_listing(r);
+          nodal[i] = r.nodal_cards;
+          element[i] = r.element_cards;
+        },
+        threads);
+    for (size_t i = 0; i < listings.size(); ++i) {
+      EXPECT_EQ(listings[i], serial_listing) << threads << " threads";
+      EXPECT_EQ(nodal[i], serial.nodal_cards) << threads << " threads";
+      EXPECT_EQ(element[i], serial.element_cards) << threads << " threads";
+    }
   }
 }
 
@@ -399,14 +304,14 @@ TEST(ParallelDeterminismTest, DeckBatchIdenticalSerialVsThreaded) {
 
 TEST(ParallelDeterminismTest, QuickBenchReportIsIdenticalAndValidJson) {
   const scenarios::SolverBenchReport report =
-      scenarios::run_solver_bench(/*threads=*/2, /*quick=*/true);
+      scenarios::run_solver_bench(/*quick=*/true);
   ASSERT_FALSE(report.cases.empty());
   EXPECT_TRUE(report.all_identical());
   const std::string json = report.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   EXPECT_NE(json.find("\"schema\": \"feio.report/1\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\": \"bench\""), std::string::npos);
-  EXPECT_NE(json.find("\"payload_schema\": \"feio.bench.solver/3\""),
+  EXPECT_NE(json.find("\"payload_schema\": \"feio.bench.solver/4\""),
             std::string::npos);
   // The embedded metrics snapshot from the metered solve.
   EXPECT_NE(json.find("\"counters\""), std::string::npos);

@@ -460,6 +460,56 @@ TEST(ServeSocketTest, RefusesToReplaceANonSocketFileAtTheUnixPath) {
   ::unlink(path.c_str());
 }
 
+// Threads this process is running, from /proc/self/status; -1 where that
+// file is not available.
+int process_threads() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::atoi(line.c_str() + 8);
+  }
+  return -1;
+}
+
+TEST(ServeSocketTest, PoolIsCappedAtTheQueueCapacity) {
+  // At most queue_capacity jobs are ever admitted and unfinished, so a
+  // session starts no more workers than that: asking for 64 with a queue
+  // of 2 starts 2. (One thread per requested worker let a huge --threads
+  // abort the process when the OS refused one.)
+  const int before = process_threads();
+  if (before < 0) GTEST_SKIP() << "no /proc/self/status";
+  serve::ServeOptions opts;
+  opts.threads = 64;
+  opts.queue_capacity = 2;
+  serve::ListenOptions listen;
+  listen.address = "127.0.0.1:0";
+  listen.max_connections = 1;
+  std::promise<std::string> bound_promise;
+  std::future<std::string> bound_future = bound_promise.get_future();
+  listen.on_bound = [&bound_promise](const std::string& bound) {
+    bound_promise.set_value(bound);
+  };
+  serve::ServeSummary summary;
+  std::thread server([&] { summary = serve::serve_listen(listen, opts); });
+  const int fd = connect_to(bound_future.get());
+  send_text(fd, idlz_job("a") + "\n");
+  // The first reply means the session is up: its pool started and the
+  // connection's reader is running.
+  std::string reply;
+  char c = 0;
+  while (::recv(fd, &c, 1, 0) == 1 && c != '\n') reply += c;
+  const int during = process_threads();
+  ::shutdown(fd, SHUT_WR);
+  recv_all(fd);
+  ::close(fd);
+  server.join();
+  EXPECT_NE(reply.find("\"id\": \"a\""), std::string::npos) << reply;
+  EXPECT_EQ(summary.ok, 1);
+  // The server thread, the connection's reader and two workers.
+  EXPECT_LE(during - before, 4)
+      << before << " threads before the session, " << during << " during";
+}
+
 TEST(ServeSocketTest, BadAddressesThrowBeforeServing) {
   serve::ServeOptions opts;
   for (const char* addr :

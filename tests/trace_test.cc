@@ -14,12 +14,17 @@
 
 #include <gtest/gtest.h>
 
-#include "feio/api.h"
+#include "feio/run_options.h"
 #include "idlz/deck.h"
+#include "idlz/idlz.h"
 #include "idlz/listing.h"
 #include "json_check.h"
+#include "ospl/ospl.h"
 #include "scenarios/pipeline_bench.h"
+#include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/report.h"
+#include "util/trace.h"
 
 namespace feio {
 namespace {
@@ -42,7 +47,7 @@ constexpr const char* kFig02Deck =
 std::string idlz_fingerprint(const idlz::IdlzCase& c,
                              const RunOptions& opts) {
   DiagSink sink;
-  const auto r = run_idlz(c, sink, opts);
+  const auto r = idlz::run_checked(c, sink, opts);
   std::string out = sink.render_text();
   if (!r) return out;
   out += idlz::summarize(*r);
@@ -56,7 +61,7 @@ std::string idlz_fingerprint(const idlz::IdlzCase& c,
 std::string ospl_fingerprint(const ospl::OsplCase& c,
                              const RunOptions& opts) {
   DiagSink sink;
-  const auto r = run_ospl(c, sink, opts);
+  const auto r = ospl::run_checked(c, sink, opts);
   std::string out = sink.render_text();
   if (!r) return out;
   std::ostringstream seg;
@@ -97,16 +102,12 @@ TEST(TraceDeterminismTest, TracedIdlzRunsAreByteIdenticalToUntracedSerial) {
   for (const idlz::IdlzCase& c : {fig02_case(), big_case()}) {
     const std::string untraced = idlz_fingerprint(c, RunOptions{});
     ASSERT_FALSE(untraced.empty());
-    for (int threads : {1, 2, 8}) {
-      util::Tracer tracer;
-      util::MetricsRegistry metrics;
-      RunOptions opts;
-      opts.threads = threads;
-      opts.tracer = &tracer;
-      opts.metrics = &metrics;
-      EXPECT_EQ(idlz_fingerprint(c, opts), untraced)
-          << "threads=" << threads;
-    }
+    util::Tracer tracer;
+    util::MetricsRegistry metrics;
+    RunOptions opts;
+    opts.tracer = &tracer;
+    opts.metrics = &metrics;
+    EXPECT_EQ(idlz_fingerprint(c, opts), untraced);
   }
 }
 
@@ -114,15 +115,12 @@ TEST(TraceDeterminismTest, TracedOsplRunsAreByteIdenticalToUntracedSerial) {
   const ospl::OsplCase c = ospl_case();
   const std::string untraced = ospl_fingerprint(c, RunOptions{});
   ASSERT_FALSE(untraced.empty());
-  for (int threads : {1, 2, 8}) {
-    util::Tracer tracer;
-    util::MetricsRegistry metrics;
-    RunOptions opts;
-    opts.threads = threads;
-    opts.tracer = &tracer;
-    opts.metrics = &metrics;
-    EXPECT_EQ(ospl_fingerprint(c, opts), untraced) << "threads=" << threads;
-  }
+  util::Tracer tracer;
+  util::MetricsRegistry metrics;
+  RunOptions opts;
+  opts.tracer = &tracer;
+  opts.metrics = &metrics;
+  EXPECT_EQ(ospl_fingerprint(c, opts), untraced);
 }
 
 // Scans rendered trace JSON: every "B" must be closed by a matching "E" on
@@ -169,9 +167,9 @@ TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
   util::ScopedTracerInstall install(&tracer);
   RunOptions opts;
   opts.tracer = &tracer;
-  // The IDLZ and OSPL runs are two items of one batch, as the CLI's deck
-  // batches run them. Each holds its lane (bounded) until the other has
-  // started, so with a pool worker present they land on two threads.
+  // The IDLZ and OSPL runs are two items of one 2-thread batch, as the
+  // CLI's deck batches run them. Each holds its lane (bounded) until the
+  // other has started, so they land on two threads.
   std::atomic<int> started{0};
   util::parallel_for(
       2,
@@ -179,8 +177,7 @@ TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
         started++;
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::seconds(10);
-        while (util::hardware_threads() > 1 && started < 2 &&
-               std::chrono::steady_clock::now() < deadline) {
+        while (started < 2 && std::chrono::steady_clock::now() < deadline) {
           std::this_thread::yield();
         }
         if (i == 0) {
@@ -190,9 +187,7 @@ TEST(TraceDeterminismTest, TraceJsonIsValidAndBalancedPerThread) {
         }
       },
       2);
-  if (util::hardware_threads() > 1) {
-    EXPECT_GE(tracer.thread_count(), 2);
-  }
+  EXPECT_GE(tracer.thread_count(), 2);
   const std::string json = tracer.render_json();
   EXPECT_TRUE(json_check::valid(json)) << json;
   check_balanced(json);

@@ -27,7 +27,8 @@ REQUIRED_KEYS = {
 # Required keys per bench payload_schema (the "bench" kind is a family of
 # payloads; see docs/BENCHMARKS.md and docs/ROBUSTNESS.md).
 BENCH_KEYS = {
-    "feio.bench.solver/3": ["threads", "all_identical", "cases", "metrics"],
+    "feio.bench.solver/4": ["hardware_threads", "repetitions", "all_identical",
+                            "cases", "metrics"],
     "feio.bench.serve/1": ["jobs", "ok", "rejected", "timed_out", "faulted",
                            "errors", "wall_ms", "jobs_per_sec", "p50_ms",
                            "p99_ms", "max_ms", "connections",
@@ -44,14 +45,13 @@ SERVE_CACHE_KEYS = ("format_enabled", "format_hits", "format_misses",
                     "factor_misses", "factor_load_reuses",
                     "factor_ttl_evictions", "factor_hit_rate")
 
-# Per-case keys of the feio.bench.solver/3 ordering x threads payload
+# Per-case keys of the feio.bench.solver/4 ordering payload
 # (docs/BENCHMARKS.md). A `skipped` case (its envelope over the harness
-# byte or flop cap) must carry zero timings; a run case must be
-# `identical` (parallel output byte-equal to serial).
+# byte or flop cap) must carry a zero timing; a run case must be
+# `identical` (every timed run byte-equal to its warm-up run).
 SOLVER_CASE_KEYS = ("name", "stage", "mesh", "ordering", "n",
                     "half_bandwidth", "node_bw", "band_bytes",
-                    "skyline_bytes", "serial_ms", "parallel_ms", "speedup",
-                    "identical", "skipped")
+                    "skyline_bytes", "work", "ms", "identical", "skipped")
 SOLVER_ORDERINGS = ("none", "rcm")
 SERVE_TENANT_KEYS = ("tenant", "weight", "jobs", "ok", "rejected",
                      "timed_out", "faulted", "errors", "share")
@@ -118,7 +118,7 @@ def check_report(path, want_kind=None):
 
 
 def check_solver_cases(path, doc):
-    """Per-case shape of the feio.bench.solver/3 payload."""
+    """Per-case shape of the feio.bench.solver/4 payload."""
     for case in doc["cases"]:
         name = case.get("name")
         for key in SOLVER_CASE_KEYS:
@@ -130,8 +130,8 @@ def check_solver_cases(path, doc):
         if case["band_bytes"] < 0 or case["skyline_bytes"] < 0:
             fail(f"{path}: solver case {name!r} has negative byte counts")
         if case["skipped"]:
-            if case["serial_ms"] != 0 or case["parallel_ms"] != 0:
-                fail(f"{path}: skipped solver case {name!r} carries timings")
+            if case["ms"] != 0:
+                fail(f"{path}: skipped solver case {name!r} carries a timing")
         elif not case["identical"]:
             fail(f"{path}: solver case {name!r} not identical")
 

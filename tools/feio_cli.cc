@@ -93,8 +93,7 @@ struct Args : api::CommonOptions {
 };
 
 // The RunOptions every pipeline call made on behalf of this invocation
-// uses. --threads is not among them: main() pins the process default that
-// the deck batches read.
+// uses. --threads is not among them: only the deck batches read it.
 RunOptions run_options(const Args& args) { return api::run_options(args); }
 
 void print_usage(std::FILE* to) {
@@ -296,11 +295,14 @@ int for_each_deck(const Args& args, const Body& body, DiagSink& merged) {
   const size_t n = args.decks.size();
   std::vector<DiagSink> sinks(n);
   std::vector<std::string> outputs(n);
-  util::parallel_for(static_cast<std::int64_t>(n), [&](std::int64_t i) {
-    std::ostringstream out;
-    body(static_cast<size_t>(i), sinks[static_cast<size_t>(i)], out);
-    outputs[static_cast<size_t>(i)] = out.str();
-  });
+  util::parallel_for(
+      static_cast<std::int64_t>(n),
+      [&](std::int64_t i) {
+        std::ostringstream out;
+        body(static_cast<size_t>(i), sinks[static_cast<size_t>(i)], out);
+        outputs[static_cast<size_t>(i)] = out.str();
+      },
+      args.threads);
   for (size_t i = 0; i < n; ++i) {
     std::fputs(outputs[i].c_str(), stdout);
     merged.merge(sinks[i]);
@@ -385,22 +387,25 @@ int run_ospl(const Args& args) {
 int run_check(const Args& args) {
   const size_t n = args.decks.size();
   std::vector<DiagSink> sinks(n);
-  util::parallel_for(static_cast<std::int64_t>(n), [&](std::int64_t li) {
-    const size_t i = static_cast<size_t>(li);
-    DiagSink& sink = sinks[i];
-    std::ifstream in;
-    if (!open_deck(args.decks[i], in, sink)) return;
-    if (args.check_ospl) {
-      const ospl::OsplCase c = ospl::read_deck(in, sink, args.decks[i]);
-      if (sink.ok()) ospl::run_checked(c, sink, run_options(args));
-    } else {
-      const auto cases = idlz::read_deck(in, sink, args.decks[i]);
-      for (const idlz::IdlzCase& c : cases) {
-        if (sink.capped()) break;
-        idlz::run_checked(c, sink, run_options(args));
-      }
-    }
-  });
+  util::parallel_for(
+      static_cast<std::int64_t>(n),
+      [&](std::int64_t li) {
+        const size_t i = static_cast<size_t>(li);
+        DiagSink& sink = sinks[i];
+        std::ifstream in;
+        if (!open_deck(args.decks[i], in, sink)) return;
+        if (args.check_ospl) {
+          const ospl::OsplCase c = ospl::read_deck(in, sink, args.decks[i]);
+          if (sink.ok()) ospl::run_checked(c, sink, run_options(args));
+        } else {
+          const auto cases = idlz::read_deck(in, sink, args.decks[i]);
+          for (const idlz::IdlzCase& c : cases) {
+            if (sink.capped()) break;
+            idlz::run_checked(c, sink, run_options(args));
+          }
+        }
+      },
+      args.threads);
   DiagSink merged;
   for (const DiagSink& sink : sinks) merged.merge(sink);
   if (!write_diag_json(args, merged)) return kExitInput;
@@ -418,18 +423,21 @@ int run_check(const Args& args) {
 int run_lint(const Args& args) {
   const size_t n = args.decks.size();
   std::vector<DiagSink> sinks(n);
-  util::parallel_for(static_cast<std::int64_t>(n), [&](std::int64_t li) {
-    const size_t i = static_cast<size_t>(li);
-    DiagSink& sink = sinks[i];
-    std::ifstream in;
-    if (!open_deck(args.decks[i], in, sink)) return;
-    const lint::LintOptions opts;
-    if (args.check_ospl) {
-      lint::lint_ospl_deck(in, sink, args.decks[i], opts);
-    } else {
-      lint::lint_idlz_deck(in, sink, args.decks[i], opts);
-    }
-  });
+  util::parallel_for(
+      static_cast<std::int64_t>(n),
+      [&](std::int64_t li) {
+        const size_t i = static_cast<size_t>(li);
+        DiagSink& sink = sinks[i];
+        std::ifstream in;
+        if (!open_deck(args.decks[i], in, sink)) return;
+        const lint::LintOptions opts;
+        if (args.check_ospl) {
+          lint::lint_ospl_deck(in, sink, args.decks[i], opts);
+        } else {
+          lint::lint_idlz_deck(in, sink, args.decks[i], opts);
+        }
+      },
+      args.threads);
   DiagSink merged;
   for (const DiagSink& sink : sinks) merged.merge(sink);
   if (!write_diag_json(args, merged)) return kExitUsage;
@@ -650,10 +658,9 @@ int main(int argc, char** argv) {
     print_usage(stdout);
     return kExitOk;
   }
-  util::set_default_threads(args.threads);
 
   // --fault arms the named site process-wide for this invocation (deck
-  // batch workers inherit it through run_chunks). serve jobs are
+  // batch lanes inherit it through parallel_for). serve jobs are
   // unaffected: each job's FaultScope masks this one, so their faults come
   // from the job line's "fault" field instead.
   util::FaultScope fault_scope;
