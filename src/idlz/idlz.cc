@@ -64,6 +64,8 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
     r.reform = reform(assembly.mesh);
     span.arg("flips", r.reform.flips);
     span.arg("passes", r.reform.passes);
+    span.arg("edges", r.reform.edges);
+    span.arg("exact_edges", r.reform.exact_edges);
     FEIO_METRIC_ADD("idlz.elements_reformed", r.reform.flips);
   }
 
