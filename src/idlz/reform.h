@@ -10,23 +10,18 @@
 // flip, whose result is the locally optimal triangulation of the shaped
 // node set.
 //
-// Each edge's test takes the quad's six edge vectors and lengths once and
-// compares the largest corner cosine of each triangulation. It needs an
-// acos only when the two lie within a rounding margin of the tolerance,
-// and then takes the min of acos over the same cosines, so every decision
-// is the one the min-angle formula makes (docs/ALGORITHMS.md).
+// Each edge's test takes the quad's six edge vectors once and compares the
+// largest corner cosine of each triangulation, from sqrt(x*x + y*y)
+// lengths with bounds widened for their rounding. Only when the two lie
+// within a rounding margin of the tolerance does it recompute the cosines
+// from hypot lengths, and then, if they still do, take the min of acos
+// over them, so every decision is the one the min-angle formula makes
+// (docs/ALGORITHMS.md).
 #pragma once
 
 #include "mesh/tri_mesh.h"
 
 namespace feio::idlz {
-
-struct ReformOptions {
-  // Only flip when the min angle improves by more than this (radians);
-  // guards against infinite alternation on symmetric quads.
-  double improvement_tol = 1e-9;
-  int max_passes = 50;
-};
 
 struct ReformReport {
   int flips = 0;
@@ -36,10 +31,11 @@ struct ReformReport {
   bool converged = true;
 };
 
-// Reforms elements in place. Element count and node positions are
-// unchanged; only connectivity is rewritten. Requires CCW orientation
+// Reforms elements in place, flipping when the min angle improves by more
+// than 1e-9 rad, for at most 50 passes. Element count and node positions
+// are unchanged; only connectivity is rewritten. Requires CCW orientation
 // (call mesh.orient_ccw() first; assemble()/shape() already do).
-ReformReport reform(mesh::TriMesh& mesh, const ReformOptions& opts = {});
+ReformReport reform(mesh::TriMesh& mesh);
 
 // Whether flipping the shared edge of elements e1, e2 would improve the
 // local min angle; exposed for tests.

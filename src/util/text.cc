@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <cstddef>
+#include <cstdint>
 
 namespace feio {
 namespace {
@@ -41,6 +43,40 @@ int append_double(std::string& out, double value, std::chars_format format,
   return static_cast<int>(n);
 }
 
+// 10^d for the decimal counts the integer path prints; each is exact.
+constexpr double kPow10[] = {1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9};
+
+// printf "%.*f" for 0 <= decimals <= 9 from one rounded integer, written
+// to end at `end`; returns its first character, or nullptr when the value
+// needs the full conversion. p is |value| * 10^d rounded once, x the exact
+// product. Below 2^52 every half-integer is a double and rounding is
+// monotone, so unless p is itself a half-integer, p and x lie between the
+// same two half-integers and round to the same integer: printf's correctly
+// rounded value. floor(p) and p - floor(p) are exact there. Products that
+// round to a half-integer (every tie, and the near-ties that land on one),
+// p >= 2^52, NaN and the infinities return nullptr.
+char* fixed_from_integer(char* end, double value, int decimals) {
+  if (decimals < 0 || decimals > 9) return nullptr;
+  const double p = std::fabs(value) * kPow10[decimals];
+  if (!(p < 0x1p52)) return nullptr;
+  const double whole = std::floor(p);
+  const double frac = p - whole;
+  if (frac == 0.5) return nullptr;
+  std::uint64_t q = static_cast<std::uint64_t>(whole) + (frac > 0.5 ? 1 : 0);
+  char* first = end;
+  for (int i = 0; i < decimals; ++i) {
+    *--first = static_cast<char>('0' + q % 10);
+    q /= 10;
+  }
+  if (decimals > 0) *--first = '.';
+  do {
+    *--first = static_cast<char>('0' + q % 10);
+    q /= 10;
+  } while (q != 0);
+  if (std::signbit(value)) *--first = '-';
+  return first;
+}
+
 }  // namespace
 
 int append_int(std::string& out, long long value, int width) {
@@ -52,6 +88,14 @@ int append_int(std::string& out, long long value, int width) {
 }
 
 int append_fixed(std::string& out, double value, int decimals, int width) {
+  // A sign, 16 digits and the point.
+  char buf[24];
+  char* const end = buf + sizeof buf;
+  if (const char* first = fixed_from_integer(end, value, decimals)) {
+    const std::size_t n = static_cast<std::size_t>(end - first);
+    append_padded(out, first, n, width);
+    return static_cast<int>(n);
+  }
   return append_double(out, value, std::chars_format::fixed, decimals, 312,
                        width);
 }

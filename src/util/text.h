@@ -3,7 +3,10 @@
 // function appends to a caller's std::string, so a document is built in
 // one buffer with no temporary string per number. Numbers go through
 // std::to_chars, which is locale-free and writes the same bytes as the
-// printf conversion named beside each function.
+// printf conversion named beside each function. append_fixed has a short
+// path for 0 to 9 decimals that prints one rounded integer; ties, values
+// of 2^52 units and more, and non-finite values still take to_chars, so
+// every byte still equals printf's (docs/ALGORITHMS.md).
 #pragma once
 
 #include <string>

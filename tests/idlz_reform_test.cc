@@ -480,5 +480,30 @@ TEST(FlipDecisionDifferentialTest, NonFiniteCosinesAgree) {
   EXPECT_GT(d.reference_flips, 0);
 }
 
+// Random, jittered and needle quads scaled by 2^k so that some squared
+// lengths underflow or overflow while hypot's lengths stay accurate: the
+// sqrt-form bounds do not hold there, so these edges take hypot lengths and
+// must still get the reference's answer.
+TEST(FlipDecisionDifferentialTest, QuadsWithUnderflowingOrOverflowingSquares) {
+  constexpr Quad (*kMakers[])(Rng&) = {random_quad, jittered_square,
+                                       needle_quad};
+  mesh::TriMesh m;
+  for (int i = 0; i < 4; ++i) m.add_node({0, 0});
+  m.add_element(0, 1, 2);
+  m.add_element(0, 2, 3);
+  Rng rng{13};
+  Disagreements d;
+  for (int i = 0; i < 30000; ++i) {
+    Quad q = kMakers[i % 3](rng);
+    const int k = i % 2 == 0 ? -540 + rng.below(40) : 490 + rng.below(40);
+    for (Vec2& p : q) p *= std::ldexp(1.0, k);
+    std::rotate(q.begin(), q.begin() + rng.below(4), q.end());
+    for (int n = 0; n < 4; ++n) m.set_pos(n, q[static_cast<size_t>(n)]);
+    d.check(m, 0, 1);
+  }
+  d.expect_none("scaled quads");
+  EXPECT_GT(d.reference_flips, 0);
+}
+
 }  // namespace
 }  // namespace feio::idlz

@@ -46,6 +46,14 @@ double from_bits(std::uint64_t bits) {
   return v;
 }
 
+// The double `ulps` steps from finite, nonzero `x`; positive steps move
+// away from zero.
+double ulps_from(double x, int ulps) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof bits);
+  return from_bits(bits + static_cast<std::uint64_t>(ulps));
+}
+
 // Exact ties, values that round to -0.00, the extremes of the double range,
 // subnormals, signed zeros and the non-finite values.
 std::vector<double> edge_values() {
@@ -66,6 +74,27 @@ std::vector<double> edge_values() {
   for (int k = -2000; k <= 2000; ++k) {
     v.push_back(k / 1000.0);
     v.push_back(k / 16.0);
+  }
+  // Where append_fixed's integer path hands over, for each decimal count d
+  // it takes: (k + 1/2)/10^d and its neighbours within 4 ulps, both signs;
+  // values around 2^52/10^d, where the product's rounding step reaches 1/2;
+  // and negative values that round to -0.
+  const auto near = [&v](double x) {
+    for (int ulps = -4; ulps <= 4; ++ulps) v.push_back(ulps_from(x, ulps));
+  };
+  for (int d = 0; d <= 9; ++d) {
+    const double scale = std::pow(10.0, d);
+    for (const double k : {0.0, 1.0, 2.0, 7.0, 12.0, 99.0, 12345.0, 1000007.0,
+                           987654321.0, 4503599627.0}) {
+      near((k + 0.5) / scale);
+      near(-(k + 0.5) / scale);
+    }
+    for (const double fraction : {4.0, 2.0, 1.0, 0.5, 0.25}) {
+      near(0x1p52 * fraction / scale);
+    }
+    for (const double below : {0.4, 0.5, 0.499999999, 0.001}) {
+      v.push_back(-below / scale);
+    }
   }
   return v;
 }
@@ -103,24 +132,38 @@ std::vector<double> all_values() {
   return v;
 }
 
-TEST(TextWriterTest, FixedMatchesPrintfAtZeroToSixDecimals) {
+// append_fixed against printf "%.*f" at `first`..`last` decimals.
+void expect_fixed_matches_printf(int first, int last) {
   for (const double v : all_values()) {
-    for (int d = 0; d <= 6; ++d) {
+    for (int d = first; d <= last; ++d) {
       std::string out = "#";
       const int n = append_fixed(out, v, d);
       const std::string want = printf_str("%.*f", d, v);
-      ASSERT_EQ(out, "#" + want) << "value bits " << std::hexfloat << v;
+      ASSERT_EQ(out, "#" + want)
+          << "value bits " << std::hexfloat << v << " decimals " << d;
       ASSERT_EQ(n, static_cast<int>(want.size()));
     }
   }
 }
 
+TEST(TextWriterTest, FixedMatchesPrintfAtZeroToSixDecimals) {
+  expect_fixed_matches_printf(0, 6);
+}
+
+// 7 to 9 decimals take the integer path too; 10 and more do not.
+TEST(TextWriterTest, FixedMatchesPrintfAboveSixDecimals) {
+  expect_fixed_matches_printf(7, 10);
+}
+
 TEST(TextWriterTest, PaddedFixedMatchesPrintfWidth) {
   for (const double v : all_values()) {
     for (const int width : {0, 5, 12}) {
-      std::string out;
-      append_fixed(out, v, 3, width);
-      ASSERT_EQ(out, printf_str("%*.*f", width, 3, v)) << std::hexfloat << v;
+      for (const int d : {0, 3, 9}) {
+        std::string out;
+        append_fixed(out, v, d, width);
+        ASSERT_EQ(out, printf_str("%*.*f", width, d, v))
+            << std::hexfloat << v << " width " << width << " decimals " << d;
+      }
     }
   }
 }
