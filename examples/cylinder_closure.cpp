@@ -29,7 +29,8 @@ std::string slug(std::string name) {
 }
 
 void emit(const scenarios::AnalysisOutput& out) {
-  plot::write_svg(plot::plot_mesh(out.idlz.mesh, out.title),
+  plot::write_svg(plot::plot_mesh(out.idlz.mesh,
+                                  mesh::Topology(out.idlz.mesh), out.title),
                   "out/" + out.id + "_idealization.svg");
   for (const auto& f : out.fields) {
     ospl::OsplCase oc;

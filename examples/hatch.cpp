@@ -35,13 +35,16 @@ int main() {
   std::printf("claim C1 (paper: input < 5%% of produced data): %.2f%%\n",
               100.0 * r.volume.input_fraction());
 
-  plot::write_svg(plot::plot_mesh(r.initial, c.title + " (INITIAL)"),
+  plot::write_svg(plot::plot_mesh(r.initial, mesh::Topology(r.initial),
+                                  c.title + " (INITIAL)"),
                   "out/fig09_initial.svg");
   plot::write_svg(plot::plot_mesh(r.before_reform,
+                                  mesh::Topology(r.before_reform),
                                   c.title + " (BEFORE REFORM)"),
                   "out/fig09_before_reform.svg");
-  plot::write_svg(plot::plot_mesh(r.mesh, c.title + " (FINAL)"),
-                  "out/fig09_final.svg");
+  plot::write_svg(
+      plot::plot_mesh(r.mesh, mesh::Topology(r.mesh), c.title + " (FINAL)"),
+      "out/fig09_final.svg");
 
   const auto qb = mesh::summarize_quality(r.before_reform);
   const auto qa = mesh::summarize_quality(r.mesh);

@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "cards/card_io.h"
+#include "mesh/topology.h"
 #include "ospl/deck.h"
 #include "ospl/ospl.h"
 #include "plot/svg.h"
@@ -29,13 +30,12 @@ std::string demo_deck() {
   c.mesh.add_node({10.0, 8.0}, mesh::BoundaryKind::kBoundaryShared);
   c.mesh.add_node({0.0, 8.0}, mesh::BoundaryKind::kBoundaryShared);
   c.mesh.add_node({4.0, 5.0});
-  c.mesh.classify_boundary();
   c.values = {5.0, 15.0, 32.0, 8.0, 20.0};
   c.mesh.add_element(0, 1, 4);
   c.mesh.add_element(1, 2, 4);
   c.mesh.add_element(2, 3, 4);
   c.mesh.add_element(3, 0, 4);
-  c.mesh.classify_boundary();
+  c.mesh.classify_boundary(mesh::Topology(c.mesh));
   c.title1 = "TYPICAL OUTPUT VALUES FROM ANALYSIS";
   c.title2 = "AND RESULTING PLOT FROM PROGRAM OSPL";
   c.delta = 10.0;  // the Figure 12 interval

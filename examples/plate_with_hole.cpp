@@ -27,7 +27,8 @@ int main() {
               "arc + square edge)\n",
               mesh.num_nodes(), mesh.num_elements());
 
-  plot::write_svg(plot::plot_mesh(mesh, out.title), "out/kirsch_mesh.svg");
+  plot::write_svg(plot::plot_mesh(mesh, mesh::Topology(mesh), out.title),
+                  "out/kirsch_mesh.svg");
   plot::write_svg(plot::plot_deformed(mesh, out.displacement, out.title),
                   "out/kirsch_deformed.svg");
 

@@ -51,7 +51,8 @@ int main() {
   const idlz::IdlzResult r = idlz::run(c);
   std::printf("%s", idlz::summarize(r).c_str());
 
-  plot::write_svg(plot::plot_mesh(r.mesh, c.title), "out/quickstart_mesh.svg");
+  plot::write_svg(plot::plot_mesh(r.mesh, mesh::Topology(r.mesh), c.title),
+                  "out/quickstart_mesh.svg");
 
   // --- 2. The analysis: clamp the left edge, pull the right edge.
   fem::StaticProblem prob(r.mesh, fem::Analysis::kPlaneStress);

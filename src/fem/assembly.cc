@@ -92,10 +92,11 @@ namespace {
 void assemble_stiffness(const StaticProblem& p, SkylineMatrix& k) {
   const mesh::TriMesh& mesh = p.mesh();
   const int ne = mesh.num_elements();
+  ConstitutiveCache constitutive_of{p.analysis()};
   for (int e = 0; e < ne; ++e) {
     // Coarse cancel granularity: one thread-local load per 512 elements.
     if ((e & 511) == 0) FEIO_CHECK_CANCEL("fem.assemble.element");
-    const DMatrix d = constitutive(p.material_of(e), p.analysis());
+    const DMatrix& d = constitutive_of(p.material_of(e));
     const ElementMatrices em =
         cst_matrices(mesh, e, d, p.analysis(), p.thickness());
     const mesh::Element& el = mesh.element(e);
@@ -156,10 +157,11 @@ void StaticProblem::assemble_load_rhs(std::vector<double>& rhs) const {
   // Equivalent nodal loads of the thermal strain: f = w * B^T D eps_th,
   // added element by element in ascending element order.
   if (!temperature_.empty()) {
+    ConstitutiveCache constitutive_of{analysis_};
     for (int e = 0; e < mesh_->num_elements(); ++e) {
       const double eth = element_thermal_strain(e);
       if (eth == 0.0) continue;
-      const DMatrix d = constitutive(material_of(e), analysis_);
+      const DMatrix& d = constitutive_of(material_of(e));
       const ElementMatrices em =
           cst_matrices(*mesh_, e, d, analysis_, thickness_);
       // Isotropic expansion: eps_th = eth in the three normal components.

@@ -43,4 +43,20 @@ using DMatrix = std::array<std::array<double, 4>, 4>;
 // thermodynamically inadmissible (compliance not positive definite).
 DMatrix constitutive(const Material& m, Analysis analysis);
 
+// constitutive() over an element loop: D is rebuilt only when the material
+// object changes, so elements sharing a material share one D, and an
+// inadmissible material still throws at the first element using it.
+struct ConstitutiveCache {
+  Analysis analysis;
+  const Material* last = nullptr;
+  DMatrix d{};
+  const DMatrix& operator()(const Material& m) {
+    if (&m != last) {
+      d = constitutive(m, analysis);
+      last = &m;
+    }
+    return d;
+  }
+};
+
 }  // namespace feio::fem

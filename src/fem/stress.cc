@@ -10,9 +10,9 @@ std::vector<Stress> element_stresses(const StaticProblem& problem,
                                      const StaticSolution& solution) {
   const mesh::TriMesh& mesh = problem.mesh();
   std::vector<Stress> out(static_cast<size_t>(mesh.num_elements()));
+  ConstitutiveCache constitutive_of{problem.analysis()};
   for (int e = 0; e < mesh.num_elements(); ++e) {
-    const DMatrix d = constitutive(problem.material_of(e),
-                                   problem.analysis());
+    const DMatrix& d = constitutive_of(problem.material_of(e));
     const mesh::Element& el = mesh.element(e);
     std::array<double, 6> u{};
     for (int i = 0; i < 3; ++i) {

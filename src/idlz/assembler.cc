@@ -1,9 +1,11 @@
 #include "idlz/assembler.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "util/cancel.h"
 #include "util/fault.h"
@@ -13,11 +15,13 @@ namespace feio::idlz {
 namespace {
 
 // Triangulates every strip pair of one subdivision into `mesh`, appending
-// the new element ids to `elements`.
+// the new element ids to `elements`. `nodes` holds the subdivision's node
+// ids in grid_points() order, strip after strip.
 void triangulate_subdivision(const Subdivision& sub,
-                             const std::map<GridPoint, int>& node_at,
+                             const std::vector<int>& nodes,
                              DiagonalStyle diagonals, mesh::TriMesh& mesh,
                              std::vector<int>& elements) {
+  size_t first = 0;  // position of strip s's first node in `nodes`
   for (int s = 0; s + 1 < sub.strip_count(); ++s) {
     std::vector<int> lower;
     std::vector<double> lower_pos;
@@ -30,10 +34,11 @@ void triangulate_subdivision(const Subdivision& sub,
       const int w = sub.strip_width(st);
       for (int jn = 0; jn < w; ++jn) {
         const GridPoint gp = sub.strip_node(st, jn);
-        chain.push_back(node_at.at(gp));
+        chain.push_back(nodes[first + static_cast<size_t>(jn)]);
         chain_pos.push_back(
             static_cast<double>(sub.is_col_trapezoid() ? gp.l : gp.k));
       }
+      if (which == 0) first += static_cast<size_t>(w);
     }
     triangulate_strip(lower, lower_pos, upper, upper_pos, mesh, &elements,
                       diagonals);
@@ -138,18 +143,42 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
   }
   util::guard_check_dofs(estimated_nodes, "assemblage nodes (estimated)");
 
+  // Number the nodes without a map: sort the (grid point, position) pairs
+  // of every subdivision's grid_points(), in deck order. A point's pairs
+  // sort together, first position first, and its node is numbered at that
+  // position, so a shared node gets the id of the first subdivision (in
+  // deck order) that covers its grid point.
+  std::vector<std::pair<GridPoint, int>> slots;
   for (size_t si = 0; si < subdivisions.size(); ++si) {
     FEIO_CHECK_CANCEL("idlz.assemble.number");
     for (const GridPoint& gp : subdivisions[si].grid_points()) {
-      auto [it, inserted] = out.node_at.try_emplace(
-          gp, static_cast<int>(out.grid_of.size()));
-      if (inserted) {
-        out.grid_of.push_back(gp);
-        out.mesh.add_node(geom::Vec2{static_cast<double>(gp.k),
-                                     static_cast<double>(gp.l)});
-      }
-      out.subdivision_nodes[si].push_back(it->second);
+      out.subdivision_nodes[si].push_back(static_cast<int>(slots.size()));
+      slots.emplace_back(gp, static_cast<int>(slots.size()));
     }
+  }
+  const std::vector<std::pair<GridPoint, int>> points = slots;
+  std::sort(slots.begin(), slots.end());
+  // node[pos]: the first position of its point, then that point's node.
+  std::vector<int> node(slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    const bool repeat = i > 0 && slots[i].first == slots[i - 1].first;
+    node[static_cast<size_t>(slots[i].second)] =
+        repeat ? node[static_cast<size_t>(slots[i - 1].second)]
+               : slots[i].second;
+  }
+  for (size_t pos = 0; pos < node.size(); ++pos) {
+    const GridPoint gp = points[pos].first;
+    const auto first = static_cast<size_t>(node[pos]);
+    if (first < pos) {
+      node[pos] = node[first];
+      continue;
+    }
+    node[pos] = out.mesh.add_node(
+        {static_cast<double>(gp.k), static_cast<double>(gp.l)});
+    out.grid_of.push_back(gp);
+  }
+  for (std::vector<int>& ids : out.subdivision_nodes) {
+    for (int& n : ids) n = node[static_cast<size_t>(n)];
   }
   FEIO_REQUIRE(out.mesh.num_nodes() <= limits.max_nodes,
                "assemblage has " + std::to_string(out.mesh.num_nodes()) +
@@ -158,8 +187,8 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
 
   // Pass 2: create elements strip pair by strip pair.
   for (size_t si = 0; si < subdivisions.size(); ++si) {
-    triangulate_subdivision(subdivisions[si], out.node_at, diagonals,
-                            out.mesh, out.subdivision_elements[si]);
+    triangulate_subdivision(subdivisions[si], out.subdivision_nodes[si],
+                            diagonals, out.mesh, out.subdivision_elements[si]);
   }
   FEIO_REQUIRE(
       out.mesh.num_elements() <= limits.max_elements,
@@ -168,7 +197,8 @@ Assembly assemble(const std::vector<Subdivision>& subdivisions,
           std::to_string(limits.max_elements) + " (Table 2 restriction)");
 
   out.mesh.orient_ccw();
-  out.mesh.classify_boundary();
+  out.topology = mesh::Topology(out.mesh);
+  out.mesh.classify_boundary(out.topology);
   return out;
 }
 

@@ -4,16 +4,17 @@
 // Nodes are identified by their integer grid point, so adjacent subdivisions
 // that meet along a common run of grid points automatically share nodes —
 // this is how the FORTRAN original (array NUMBER(41,61)) made assemblages
-// conforming. Numbering is done subdivision by subdivision, within each
-// subdivision left-to-right and bottom-to-top, exactly the "arbitrary
+// conforming; here the grid points are sorted instead, so a sparse grid box
+// needs no dense array. Numbering is done subdivision by subdivision, within
+// each subdivision left-to-right and bottom-to-top, exactly the "arbitrary
 // scheme with programming convenience the prime consideration" the paper
 // describes; the optional bandwidth renumbering (renumber.h) replaces it.
 #pragma once
 
-#include <map>
 #include <vector>
 
 #include "idlz/subdivision.h"
+#include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 
 namespace feio::idlz {
@@ -35,15 +36,17 @@ struct Limits {
 };
 
 struct Assembly {
-  // Node index at each covered grid point.
-  std::map<GridPoint, int> node_at;
-  // Inverse map: grid point of each node.
+  // Grid point of each node.
   std::vector<GridPoint> grid_of;
   // Mesh whose node positions are the raw integer coordinates (the
   // "initial representation" the user drew); shaping moves them later.
   mesh::TriMesh mesh;
-  // node ids belonging to each subdivision, in strip order (for the
-  // per-subdivision plots of Figure 11c and for shaping).
+  // Topology of `mesh`, the one its boundary flags came from. Shaping keeps
+  // it in step with the mesh, and reform takes it from there.
+  mesh::Topology topology;
+  // node ids belonging to each subdivision, in its grid_points() order:
+  // strip by strip (for the per-subdivision plots of Figure 11c and for
+  // shaping, which index it by strip and node).
   std::vector<std::vector<int>> subdivision_nodes;
   // element ids created by each subdivision.
   std::vector<std::vector<int>> subdivision_elements;

@@ -1,5 +1,6 @@
 #include "idlz/idlz.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -17,12 +18,50 @@
 namespace feio::idlz {
 namespace {
 
-// The whole pipeline. With `punch_diags`, cards are punched through the
-// diagnosing overloads: a value too wide for its user FORMAT field becomes
-// E-PUNCH-001 there (pointing at the type-7 card) instead of a silently
-// corrupt card in the output.
+// Subdivision si's plot, drawn as plot::draw_mesh draws the part mesh of
+// its elements and nodes, read from `topo`, the final mesh's topology:
+// nodes numbered in list order, and each edge drawn once, at its first use
+// in element order, from its lower part-local node, with the boundary pen
+// when just one of its elements is in the part.
+plot::PlotFile subdivision_plot(const IdlzCase& c, const IdlzResult& r,
+                                size_t si, const mesh::Topology& topo) {
+  plot::PlotFile p(c.title + " - SUBDIVISION " +
+                   std::to_string(c.subdivisions[si].id));
+  std::vector<int> local(static_cast<size_t>(r.mesh.num_nodes()), -1);
+  int count = 0;
+  for (int n : r.subdivision_nodes[si]) {
+    if (local[static_cast<size_t>(n)] >= 0) continue;
+    local[static_cast<size_t>(n)] = count++;
+    p.text(r.mesh.pos(n), std::to_string(n + 1), 0.8);
+  }
+  const std::vector<int>& elements = r.subdivision_elements[si];  // ascending
+  std::vector<char> drawn(static_cast<size_t>(topo.num_edges()), 0);
+  for (int e : elements) {
+    for (int id : topo.element_edges(e)) {
+      if (std::exchange(drawn[static_cast<size_t>(id)], 1)) continue;
+      mesh::Edge edge = topo.edges()[static_cast<size_t>(id)];
+      if (local[static_cast<size_t>(edge.a)] >
+          local[static_cast<size_t>(edge.b)]) {
+        std::swap(edge.a, edge.b);
+      }
+      const auto uses = std::ranges::count_if(
+          topo.edge_elements(id),
+          [&](int x) { return std::ranges::binary_search(elements, x); });
+      p.line(r.mesh.pos(edge.a), r.mesh.pos(edge.b),
+             uses == 1 ? plot::Pen::kBoundary : plot::Pen::kMesh);
+    }
+  }
+  return p;
+}
+
+// The whole pipeline; `topo` is left holding the final mesh's topology.
+// With `punch_diags`, cards are punched through the diagnosing overloads: a
+// value too wide for its user FORMAT field becomes E-PUNCH-001 there
+// (pointing at the type-7 card) instead of a silently corrupt card in the
+// output.
 IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
-                      DiagSink* punch_diags) {
+                      DiagSink* punch_diags,
+                      std::optional<mesh::Topology>& topo) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedCancel cancel_scope(opts.cancel);
@@ -42,6 +81,10 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
     return assemble(c.subdivisions, c.options.limits, c.options.diagonals);
   }();
   r.initial = assembly.mesh;
+  // The initial plot needs the assembler's topology, which shaping changes.
+  const bool make_plots = c.options.make_plots && opts.make_plots;
+  std::optional<mesh::Topology> initial_topo;
+  if (make_plots) initial_topo = assembly.topology;
   FEIO_METRIC_ADD("idlz.nodes_numbered", assembly.mesh.num_nodes());
   FEIO_METRIC_ADD("idlz.elements_created", assembly.mesh.num_elements());
 
@@ -61,7 +104,7 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
   FEIO_CHECK_CANCEL("idlz.reform");
   if (c.options.reform_elements) {
     FEIO_TRACE_SPAN(span, "idlz.reform");
-    r.reform = reform(assembly.mesh);
+    r.reform = reform(assembly.mesh, assembly.topology);
     span.arg("flips", r.reform.flips);
     span.arg("passes", r.reform.passes);
     span.arg("edges", r.reform.edges);
@@ -88,7 +131,7 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
   }
   if (renumber_nodes) {
     FEIO_TRACE_SPAN(span, "idlz.renumber");
-    r.renumbering = renumber(assembly.mesh, scheme);
+    r.renumbering = renumber(assembly.mesh, assembly.topology, scheme);
     span.arg("bandwidth_before", r.renumbering.bandwidth_before);
     span.arg("bandwidth_after", r.renumbering.bandwidth_after);
     if (r.renumbering.applied) {
@@ -97,6 +140,7 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
       for (auto& nodes : assembly.subdivision_nodes) {
         for (int& n : nodes) n = perm[static_cast<size_t>(n)];
       }
+      assembly.topology = mesh::Topology(assembly.mesh);
     }
   } else {
     r.renumbering.bandwidth_before = mesh::bandwidth(assembly.mesh);
@@ -105,7 +149,9 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
     r.renumbering.profile_after = r.renumbering.profile_before;
   }
 
-  assembly.mesh.classify_boundary();
+  // Reform changed the connectivity the assembler's flags came from.
+  const mesh::Topology& final_topo = assembly.topology;
+  assembly.mesh.classify_boundary(final_topo);
   r.mesh = assembly.mesh;
   r.subdivision_nodes = assembly.subdivision_nodes;
   r.subdivision_elements = assembly.subdivision_elements;
@@ -131,33 +177,14 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
 
   // 6. Optional plots (Figure 11): initial, final, per-subdivision numbered.
   FEIO_CHECK_CANCEL("idlz.plots");
-  if (c.options.make_plots && opts.make_plots) {
+  if (make_plots) {
     FEIO_TRACE_SPAN(span, "idlz.plots");
-    r.plots.push_back(
-        plot::plot_mesh(r.initial, c.title + " - INITIAL REPRESENTATION"));
-    r.plots.push_back(
-        plot::plot_mesh(r.mesh, c.title + " - FINAL IDEALIZATION"));
+    r.plots.push_back(plot::plot_mesh(r.initial, *initial_topo,
+                                      c.title + " - INITIAL REPRESENTATION"));
+    r.plots.push_back(plot::plot_mesh(r.mesh, final_topo,
+                                      c.title + " - FINAL IDEALIZATION"));
     for (size_t si = 0; si < c.subdivisions.size(); ++si) {
-      plot::PlotFile p(c.title + " - SUBDIVISION " +
-                       std::to_string(c.subdivisions[si].id));
-      // Draw only this subdivision's elements, nodes numbered.
-      mesh::TriMesh part;
-      std::vector<int> remap(static_cast<size_t>(r.mesh.num_nodes()), -1);
-      for (int n : r.subdivision_nodes[si]) {
-        if (remap[static_cast<size_t>(n)] < 0) {
-          remap[static_cast<size_t>(n)] =
-              part.add_node(r.mesh.pos(n), r.mesh.node(n).boundary);
-          p.text(r.mesh.pos(n), std::to_string(n + 1), 0.8);
-        }
-      }
-      for (int e : r.subdivision_elements[si]) {
-        const mesh::Element& el = r.mesh.element(e);
-        part.add_element(remap[static_cast<size_t>(el.n[0])],
-                         remap[static_cast<size_t>(el.n[1])],
-                         remap[static_cast<size_t>(el.n[2])]);
-      }
-      plot::draw_mesh(part, p);
-      r.plots.push_back(std::move(p));
+      r.plots.push_back(subdivision_plot(c, r, si, final_topo));
     }
     span.arg("plots", static_cast<std::int64_t>(r.plots.size()));
   }
@@ -181,13 +208,15 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
     FEIO_METRIC_ADD("idlz.cards_punched",
                     r.mesh.num_nodes() + r.mesh.num_elements());
   }
+  topo = std::move(assembly.topology);
   return r;
 }
 
 }  // namespace
 
 IdlzResult run(const IdlzCase& c, const RunOptions& opts) {
-  return run_stages(c, opts, nullptr);
+  std::optional<mesh::Topology> topo;
+  return run_stages(c, opts, nullptr, topo);
 }
 
 std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
@@ -199,10 +228,11 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
       c.title.empty() ? std::string() : "set '" + c.title + "': ";
   try {
     DiagSink punch_diags;
-    IdlzResult r = run_stages(c, opts, &punch_diags);
+    std::optional<mesh::Topology> topo;
+    IdlzResult r = run_stages(c, opts, &punch_diags, topo);
     if (opts.validate_mesh) {
       FEIO_TRACE_SPAN(span, "idlz.validate");
-      mesh::validate(r.mesh).merge_into(sink);
+      mesh::validate(r.mesh, topo).merge_into(sink);
     }
     // Validation findings come first in the report, then the punch's.
     sink.merge(punch_diags);

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "geom/vec2.h"
@@ -204,23 +205,32 @@ bool flip_improves(const mesh::TriMesh& mesh, int e1, int e2, double tol) {
   return test_flip(mesh, s1, s2, p1, p2, tol).flip;
 }
 
-ReformReport reform(mesh::TriMesh& mesh) {
+ReformReport reform(mesh::TriMesh& mesh, mesh::Topology& topo) {
   ReformReport report;
+  std::vector<char> flipped;  // elements the previous pass flipped
 
   for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++report.passes;
     int flips_this_pass = 0;
 
-    // This pass's connectivity. Its interior edges are visited in sorted
-    // (min, max) node order; a flip makes it stale for the two elements it
-    // rewrites, which then sit out the rest of the pass.
-    const mesh::Topology topo(mesh);
+    // This pass's connectivity: the caller's in the first pass, rebuilt in
+    // each later one. Its interior edges are visited in sorted (min, max)
+    // node order; a flip makes it stale for the two elements it rewrites,
+    // which then sit out the rest of the pass. A later pass skips the edges
+    // of elements the previous pass left alone: node positions never
+    // change, so that pass tested them with the same corners and kept them
+    // (docs/ALGORITHMS.md, "One topology per mesh state").
+    if (pass > 0) topo = mesh::Topology(mesh);
     std::vector<char> touched(static_cast<size_t>(mesh.num_elements()), 0);
     for (int id = 0; id < topo.num_edges(); ++id) {
       const std::span<const int> elems = topo.edge_elements(id);
       if (elems.size() != 2) continue;
       const int e1 = elems[0];
       const int e2 = elems[1];
+      if (pass > 0 && !flipped[static_cast<size_t>(e1)] &&
+          !flipped[static_cast<size_t>(e2)]) {
+        continue;  // kept by the previous pass
+      }
       if (touched[static_cast<size_t>(e1)] || touched[static_cast<size_t>(e2)]) {
         continue;  // connectivity stale after an earlier flip this pass
       }
@@ -239,14 +249,17 @@ ReformReport reform(mesh::TriMesh& mesh) {
     }
 
     report.flips += flips_this_pass;
+    report.pass_flips.push_back(flips_this_pass);
     if (flips_this_pass == 0) {
-      mesh.orient_ccw();
+      mesh.orient_ccw(&topo);
       return report;
     }
+    flipped = std::move(touched);
   }
 
   report.converged = false;
-  mesh.orient_ccw();
+  topo = mesh::Topology(mesh);
+  mesh.orient_ccw(&topo);
   return report;
 }
 

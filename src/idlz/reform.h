@@ -19,6 +19,9 @@
 // (docs/ALGORITHMS.md).
 #pragma once
 
+#include <vector>
+
+#include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 
 namespace feio::idlz {
@@ -26,7 +29,9 @@ namespace feio::idlz {
 struct ReformReport {
   int flips = 0;
   int passes = 0;
-  int edges = 0;        // interior edges tested, summed over passes
+  std::vector<int> pass_flips;  // flips of each pass, in order
+  int edges = 0;        // interior edges tested, summed over passes (after
+                        // the first, only those next to the last flips)
   int exact_edges = 0;  // of those, edges the acos form decided
   bool converged = true;
 };
@@ -34,8 +39,10 @@ struct ReformReport {
 // Reforms elements in place, flipping when the min angle improves by more
 // than 1e-9 rad, for at most 50 passes. Element count and node positions
 // are unchanged; only connectivity is rewritten. Requires CCW orientation
-// (call mesh.orient_ccw() first; assemble()/shape() already do).
-ReformReport reform(mesh::TriMesh& mesh);
+// (call mesh.orient_ccw() first; assemble()/shape() already do). `topo` is
+// the topology of `mesh` on entry, and of the reformed mesh on return; the
+// first pass uses it, and each later pass rebuilds it once.
+ReformReport reform(mesh::TriMesh& mesh, mesh::Topology& topo);
 
 // Whether flipping the shared edge of elements e1, e2 would improve the
 // local min angle; exposed for tests.

@@ -112,13 +112,13 @@ int pseudo_peripheral_node(const mesh::Csr& adjacency, int seed) {
   return best;
 }
 
-std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
+std::vector<int> cuthill_mckee_permutation(const mesh::Topology& topo,
                                            bool reverse) {
-  const mesh::Topology topo(mesh);
   return permutation_of(cuthill_mckee_order(topo.adjacency()), reverse);
 }
 
-RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
+RenumberReport renumber(mesh::TriMesh& mesh, const mesh::Topology& topo,
+                        NumberingScheme scheme) {
   RenumberReport report;
   report.bandwidth_before = mesh::bandwidth(mesh);
   report.profile_before = mesh::profile(mesh);
@@ -128,8 +128,7 @@ RenumberReport renumber(mesh::TriMesh& mesh, NumberingScheme scheme) {
 
   // One visit order serves both schemes: RCM is CM read backwards. Each
   // candidate is scored through its permutation, not on a renumbered copy.
-  const std::vector<int> order =
-      cuthill_mckee_order(mesh::Topology(mesh).adjacency());
+  const std::vector<int> order = cuthill_mckee_order(topo.adjacency());
   struct Candidate {
     NumberingScheme scheme;
     std::vector<int> perm;

@@ -34,14 +34,17 @@ struct RenumberReport {
   std::vector<int> permutation;
 };
 
-// Computes a (R)CM permutation and applies it to the mesh when it improves
-// the bandwidth (profile as tie-break); keeps the original numbering
-// otherwise. Disconnected components are ordered one after another.
-RenumberReport renumber(mesh::TriMesh& mesh,
+// Computes a (R)CM permutation from the node adjacency of `topo`, the
+// topology of `mesh`, and applies it to the mesh when it improves the
+// bandwidth (profile as tie-break); keeps the original numbering otherwise.
+// Disconnected components are ordered one after another. An applied
+// permutation leaves `topo` describing the old numbering.
+RenumberReport renumber(mesh::TriMesh& mesh, const mesh::Topology& topo,
                         NumberingScheme scheme = NumberingScheme::kBest);
 
-// The raw permutation (new_index = perm[old_index]) without applying it.
-std::vector<int> cuthill_mckee_permutation(const mesh::TriMesh& mesh,
+// The raw permutation (new_index = perm[old_index]) of the mesh `topo`
+// describes, without applying it.
+std::vector<int> cuthill_mckee_permutation(const mesh::Topology& topo,
                                            bool reverse);
 
 // Pseudo-peripheral node of the component containing `seed` (George–Liu

@@ -79,6 +79,22 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
     FEIO_CHECK_CANCEL("idlz.shape.subdivision");
     FEIO_FAULT("idlz.shape");
     const Subdivision& sub = subdivisions[si];
+    // The subdivision's node ids, by strip and node or by grid point.
+    const std::vector<int>& nodes = assembly.subdivision_nodes[si];
+    std::vector<int> start{0};
+    for (int s = 0; s + 1 < sub.strip_count(); ++s) {
+      start.push_back(start.back() + sub.strip_width(s));
+    }
+    auto node = [&](int s, int j) {
+      return nodes[static_cast<size_t>(start[static_cast<size_t>(s)] + j)];
+    };
+    auto node_of = [&](GridPoint gp) {
+      const bool col = sub.is_col_trapezoid();
+      const int s = col ? gp.k - sub.k1 : gp.l - sub.l1;
+      int lo, hi;
+      sub.strip_span(s, lo, hi);
+      return node(s, (col ? gp.l : gp.k) - lo);
+    };
     std::vector<char> own(static_cast<size_t>(assembly.mesh.num_nodes()), 0);
 
     // --- Apply this subdivision's type-6 cards. -------------------------
@@ -103,7 +119,7 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
           positions = arc.sample(static_cast<int>(run.size()) - 1);
         }
         for (size_t j = 0; j < run.size(); ++j) {
-          const int n = assembly.node_at.at(run[j]);
+          const int n = node_of(run[j]);
           assembly.mesh.set_pos(n, positions[j]);
           if (!located[static_cast<size_t>(n)]) ++report.nodes_from_cards;
           located[static_cast<size_t>(n)] = 1;
@@ -117,7 +133,7 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
     auto side_state = [&](Side side) {
       SideState st;
       for (const GridPoint& gp : side_points(sub, side)) {
-        const int n = assembly.node_at.at(gp);
+        const int n = node_of(gp);
         st.nodes.push_back(n);
         st.own_card_hits += own[static_cast<size_t>(n)];
       }
@@ -176,8 +192,7 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
           const double u = w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
           const geom::Vec2 pa = side_at(low, u * (low.size() - 1));
           const geom::Vec2 pb = side_at(high, u * (high.size() - 1));
-          place(assembly.node_at.at(sub.strip_node(s, j)),
-                geom::lerp(pa, pb, v));
+          place(node(s, j), geom::lerp(pa, pb, v));
         }
       }
     } else {
@@ -189,8 +204,7 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
             assembly.mesh.pos(cross_hi.nodes[static_cast<size_t>(s)]);
         for (int j = 0; j < w; ++j) {
           const double u = w > 1 ? static_cast<double>(j) / (w - 1) : 0.5;
-          place(assembly.node_at.at(sub.strip_node(s, j)),
-                geom::lerp(pa, pb, u));
+          place(node(s, j), geom::lerp(pa, pb, u));
         }
       }
     }
@@ -201,7 +215,7 @@ ShapingReport shape(const std::vector<Subdivision>& subdivisions,
   FEIO_REQUIRE(unlocated == 0, std::to_string(unlocated) +
                                    " nodes remain unlocated after shaping");
 
-  assembly.mesh.orient_ccw();
+  assembly.mesh.orient_ccw(&assembly.topology);
   return report;
 }
 

@@ -47,7 +47,8 @@ struct ShapingReport {
 };
 
 // Applies all shaping specs to the assembly in subdivision order, moving
-// mesh node positions from integer-grid placeholders to real coordinates.
+// mesh node positions from integer-grid placeholders to real coordinates,
+// then orients the elements CCW, keeping the assembly's topology in step.
 // Throws feio::Error when a run references grid points outside its
 // subdivision, when a subdivision ends up with no fully-located pair of
 // opposite sides, or when any node remains unlocated at the end.

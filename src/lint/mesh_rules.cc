@@ -13,6 +13,7 @@
 #include "lint/lint.h"
 #include "mesh/bandwidth.h"
 #include "mesh/quality.h"
+#include "mesh/topology.h"
 #include "util/text.h"
 
 namespace feio::lint {
@@ -95,8 +96,8 @@ void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
   // NONUMB = 0 — with renumbering already requested there is nothing to say.
   if (!c.options.renumber_nodes) {
     mesh::TriMesh copy = mesh;
-    const idlz::RenumberReport r =
-        idlz::renumber(copy, idlz::NumberingScheme::kBest);
+    const idlz::RenumberReport r = idlz::renumber(
+        copy, mesh::Topology(mesh), idlz::NumberingScheme::kBest);
     if (r.applied && r.bandwidth_before >= opts.min_bandwidth) {
       const double gain =
           100.0 * (r.bandwidth_before - r.bandwidth_after) /

@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "mesh/topology.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "util/text.h"
@@ -127,7 +128,7 @@ TriMesh read_off(std::istream& in) {
                  "OFF face references a missing vertex");
     mesh.add_element(a, b, c);
   }
-  mesh.classify_boundary();
+  mesh.classify_boundary(Topology(mesh));
   return mesh;
 }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "util/metrics.h"
+
 namespace feio::mesh {
 namespace {
 
@@ -33,6 +35,7 @@ bool first_use(const Element& el, size_t k) {
 }  // namespace
 
 Topology::Topology(const TriMesh& mesh) {
+  FEIO_METRIC_ADD("mesh.topology_builds", 1);
   const auto nn = static_cast<size_t>(mesh.num_nodes());
   const std::vector<Element>& elements = mesh.elements();
 

@@ -3,8 +3,9 @@
 // edge ids, and compressed-row node->node and node->element lists. Queried
 // by reform, renumbering, boundary classification, validation, the mesh
 // plots and OSPL's boundary. A build is one bucket pass over the elements
-// with no per-edge allocation, so callers build one where they need it
-// rather than keep one.
+// with no per-edge allocation, yet most of what those stages cost, so each
+// mesh state is built once and handed to every stage that reads it; the
+// `mesh.topology_builds` counter counts the builds.
 #pragma once
 
 #include <array>
@@ -40,6 +41,7 @@ struct Csr {
 
 class Topology {
  public:
+  Topology() = default;  // of the empty mesh
   explicit Topology(const TriMesh& mesh);
 
   int num_nodes() const { return neighbors_.rows(); }
@@ -92,6 +94,8 @@ class Topology {
   std::vector<std::vector<int>> boundary_loops() const;
 
  private:
+  friend class TriMesh;  // orient_ccw keeps element_edges_ in step
+
   std::vector<Edge> edges_;
   Csr edge_elements_;
   std::vector<std::array<int, 3>> element_edges_;

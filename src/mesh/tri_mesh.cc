@@ -32,19 +32,25 @@ double TriMesh::signed_area(int e) const {
   return geom::signed_area2(c[0], c[1], c[2]) / 2.0;
 }
 
-int TriMesh::orient_ccw() {
+int TriMesh::orient_ccw(Topology* topo) {
+  FEIO_ASSERT(topo == nullptr ||
+              topo->element_edges_.size() == elements_.size());
   int flipped = 0;
   for (int e = 0; e < num_elements(); ++e) {
     if (signed_area(e) < 0.0) {
       std::swap(element(e).n[1], element(e).n[2]);
+      if (topo != nullptr) {
+        auto& ids = topo->element_edges_[static_cast<size_t>(e)];
+        std::swap(ids[0], ids[2]);
+      }
       ++flipped;
     }
   }
   return flipped;
 }
 
-void TriMesh::classify_boundary() {
-  const Topology topo(*this);
+void TriMesh::classify_boundary(const Topology& topo) {
+  FEIO_ASSERT(topo.num_nodes() == num_nodes());
   for (int i = 0; i < num_nodes(); ++i) {
     nodes_[static_cast<size_t>(i)].boundary = topo.boundary_kind(i);
   }

@@ -14,6 +14,8 @@
 
 namespace feio::mesh {
 
+class Topology;
+
 // Matches the N(I) flag of an OSPL nodal card:
 //   0 - node interior to the plotted area,
 //   1 - boundary node belonging to more than one element,
@@ -63,14 +65,17 @@ class TriMesh {
   // Signed area of element e; positive when the node order is CCW.
   double signed_area(int e) const;
 
-  // Reorders every element's nodes so its signed area is positive. Returns
-  // the number of elements that were flipped.
-  int orient_ccw();
+  // Reorders every element's nodes so its signed area is positive, keeping
+  // `topo`, this mesh's topology when given, in step: swapping corners 1 and
+  // 2 swaps the element's edges 0 and 2. Returns the number of elements
+  // that were flipped.
+  int orient_ccw(Topology* topo = nullptr);
 
-  // Recomputes every node's BoundaryKind from mesh topology: a node is a
-  // boundary node iff it lies on an edge used by exactly one element, and it
-  // is kBoundarySingle iff it additionally belongs to exactly one element.
-  void classify_boundary();
+  // Sets every node's BoundaryKind from `topo`, the topology of this mesh:
+  // a node is a boundary node iff it lies on an edge used by exactly one
+  // element, and it is kBoundarySingle iff it additionally belongs to
+  // exactly one element.
+  void classify_boundary(const Topology& topo);
 
   geom::BBox bounds() const;
 

@@ -57,7 +57,7 @@ void ValidationReport::merge_into(DiagSink& sink) const {
   for (const Diag& d : diags) sink.add(d);
 }
 
-ValidationReport validate(const TriMesh& mesh) {
+ValidationReport validate(const TriMesh& mesh, std::optional<Topology>& topo) {
   ValidationReport rep;
 
   // Duplicate elements: sort the node triples; an element whose triple
@@ -109,13 +109,13 @@ ValidationReport validate(const TriMesh& mesh) {
 
   if (!rep.ok()) return rep;  // topology needs valid indices
 
-  const Topology topo(mesh);
+  if (!topo) topo.emplace(mesh);
 
   // Non-manifold edges.
-  for (int id = 0; id < topo.num_edges(); ++id) {
-    const size_t uses = topo.edge_elements(id).size();
+  for (int id = 0; id < topo->num_edges(); ++id) {
+    const size_t uses = topo->edge_elements(id).size();
     if (uses > 2) {
-      const Edge edge = topo.edges()[static_cast<size_t>(id)];
+      const Edge edge = topo->edges()[static_cast<size_t>(id)];
       error(rep, "E-MESH-006",
             "edge (" + std::to_string(edge.a) + "," + std::to_string(edge.b) +
                 ") shared by " + std::to_string(uses) + " elements");
@@ -124,7 +124,7 @@ ValidationReport validate(const TriMesh& mesh) {
 
   // Boundary flags vs. topology.
   for (int i = 0; i < mesh.num_nodes(); ++i) {
-    if (mesh.node(i).boundary != topo.boundary_kind(i)) {
+    if (mesh.node(i).boundary != topo->boundary_kind(i)) {
       warning(rep, "W-MESH-007",
               "node " + std::to_string(i) +
                   ": boundary flag inconsistent with topology");
@@ -133,7 +133,7 @@ ValidationReport validate(const TriMesh& mesh) {
 
   // Isolated nodes.
   for (int i = 0; i < mesh.num_nodes(); ++i) {
-    if (topo.elements_of(i).empty()) {
+    if (topo->elements_of(i).empty()) {
       warning(rep, "W-MESH-008",
               "node " + std::to_string(i) + " belongs to no element");
     }
@@ -144,14 +144,16 @@ ValidationReport validate(const TriMesh& mesh) {
     std::vector<bool> visited(static_cast<size_t>(mesh.num_nodes()), false);
     std::vector<int> stack;
     int start = 0;
-    while (start < mesh.num_nodes() && topo.elements_of(start).empty()) ++start;
+    while (start < mesh.num_nodes() && topo->elements_of(start).empty()) {
+      ++start;
+    }
     if (start < mesh.num_nodes()) {
       stack.push_back(start);
       visited[static_cast<size_t>(start)] = true;
       while (!stack.empty()) {
         const int n = stack.back();
         stack.pop_back();
-        for (int nb : topo.neighbors(n)) {
+        for (int nb : topo->neighbors(n)) {
           if (!visited[static_cast<size_t>(nb)]) {
             visited[static_cast<size_t>(nb)] = true;
             stack.push_back(nb);
@@ -159,7 +161,7 @@ ValidationReport validate(const TriMesh& mesh) {
         }
       }
       for (int i = 0; i < mesh.num_nodes(); ++i) {
-        if (!visited[static_cast<size_t>(i)] && !topo.elements_of(i).empty()) {
+        if (!visited[static_cast<size_t>(i)] && !topo->elements_of(i).empty()) {
           warning(rep, "W-MESH-009",
                   "mesh has more than one connected component");
           break;

@@ -1,9 +1,11 @@
 // Mesh sanity checks run after idealization and before analysis/plotting.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 #include "util/diag.h"
 
@@ -31,7 +33,9 @@ struct ValidationReport {
 // zero/negative-area elements (after orientation), no duplicate elements,
 // no non-manifold edges (>2 incident elements), boundary flags consistent
 // with topology, mesh connected (single component) — the last is a warning
-// because multi-part idealizations are legal in IDLZ.
-ValidationReport validate(const TriMesh& mesh);
+// because multi-part idealizations are legal in IDLZ. The topology checks
+// read `topo`, the topology of `mesh`; a caller without one passes it empty
+// and validate builds it there, once the element checks pass, for reuse.
+ValidationReport validate(const TriMesh& mesh, std::optional<Topology>& topo);
 
 }  // namespace feio::mesh

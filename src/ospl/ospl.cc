@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "mesh/topology.h"
@@ -32,7 +33,12 @@ std::string interval_caption(double delta) {
   return s;
 }
 
-OsplResult run(const OsplCase& c, const RunOptions& opts) {
+namespace {
+
+// The whole pipeline. Its boundary stage reads `topo`, the topology of
+// c.mesh, building it there when the caller has none.
+OsplResult run_stages(const OsplCase& c, const RunOptions& opts,
+                      std::optional<mesh::Topology>& topo) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedCancel cancel_scope(opts.cancel);
@@ -109,9 +115,9 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
   std::vector<mesh::Edge> boundary_edges;  // sorted, for place_labels
   {
     FEIO_TRACE_SPAN(span, "ospl.boundary");
-    const mesh::Topology topo(c.mesh);
-    boundary_edges.assign(topo.boundary_edges().begin(),
-                          topo.boundary_edges().end());
+    if (!topo) topo.emplace(c.mesh);
+    boundary_edges.assign(topo->boundary_edges().begin(),
+                          topo->boundary_edges().end());
     for (const mesh::Edge& e : boundary_edges) {
       ContourSegment seg;
       seg.a = c.mesh.pos(e.a);
@@ -156,14 +162,22 @@ OsplResult run(const OsplCase& c, const RunOptions& opts) {
   return r;
 }
 
+}  // namespace
+
+OsplResult run(const OsplCase& c, const RunOptions& opts) {
+  std::optional<mesh::Topology> topo;
+  return run_stages(c, opts, topo);
+}
+
 std::optional<OsplResult> run_checked(const OsplCase& c, DiagSink& sink,
                                       const RunOptions& opts) {
   util::ScopedTracerInstall tracer_scope(opts.tracer);
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedCancel cancel_scope(opts.cancel);
+  std::optional<mesh::Topology> topo;  // built by validation, reused
   if (opts.validate_mesh) {
     FEIO_TRACE_SPAN(span, "ospl.validate");
-    const mesh::ValidationReport rep = mesh::validate(c.mesh);
+    const mesh::ValidationReport rep = mesh::validate(c.mesh, topo);
     rep.merge_into(sink);
     if (!rep.ok()) {
       sink.error("E-OSPL-005",
@@ -172,7 +186,7 @@ std::optional<OsplResult> run_checked(const OsplCase& c, DiagSink& sink,
     }
   }
   try {
-    return run(c, opts);
+    return run_stages(c, opts, topo);
   } catch (const ResourceError& e) {
     // Cancellation, admission-guard and injected-fault failures keep their
     // stable E-RES code instead of folding into the generic pipeline error.

@@ -29,8 +29,10 @@ double draw_deformed(const mesh::TriMesh& mesh,
     scale = max_disp > 0.0 ? 0.05 * diag / max_disp : 1.0;
   }
 
+  // The deformed mesh has the same connectivity, so one topology serves
+  // both drawings.
+  const mesh::Topology topo(mesh);
   if (opts.show_undeformed) {
-    const mesh::Topology topo(mesh);
     for (const mesh::Edge& e : topo.boundary_edges()) {
       out.line(mesh.pos(e.a), mesh.pos(e.b), Pen::kGridAid);
     }
@@ -43,7 +45,7 @@ double draw_deformed(const mesh::TriMesh& mesh,
   }
   MeshPlotOptions mp;
   mp.draw_boundary = true;
-  draw_mesh(deformed, out, mp);
+  draw_mesh(deformed, topo, out, mp);
   return scale;
 }
 

@@ -3,14 +3,11 @@
 #include <string>
 #include <vector>
 
-#include "mesh/topology.h"
-
 namespace feio::plot {
 
-void draw_mesh(const mesh::TriMesh& mesh, PlotFile& out,
-               const MeshPlotOptions& opts) {
+void draw_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
+               PlotFile& out, const MeshPlotOptions& opts) {
   // Each edge once, at its first use in element order.
-  const mesh::Topology topo(mesh);
   std::vector<char> drawn(static_cast<size_t>(topo.num_edges()), 0);
   for (int el = 0; el < mesh.num_elements(); ++el) {
     for (int id : topo.element_edges(el)) {
@@ -37,10 +34,10 @@ void draw_mesh(const mesh::TriMesh& mesh, PlotFile& out,
   }
 }
 
-PlotFile plot_mesh(const mesh::TriMesh& mesh, std::string title,
-                   const MeshPlotOptions& opts) {
+PlotFile plot_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
+                   std::string title, const MeshPlotOptions& opts) {
   PlotFile out(std::move(title));
-  draw_mesh(mesh, out, opts);
+  draw_mesh(mesh, topo, out, opts);
   return out;
 }
 

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 #include "plot/plot_file.h"
 
@@ -17,12 +18,13 @@ struct MeshPlotOptions {
   double label_size = 0.8;
 };
 
-// Draws every element edge (once) plus options above into `out`.
-void draw_mesh(const mesh::TriMesh& mesh, PlotFile& out,
-               const MeshPlotOptions& opts = {});
+// Draws every element edge (once) plus options above into `out`. `topo` is
+// the topology of `mesh`.
+void draw_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
+               PlotFile& out, const MeshPlotOptions& opts = {});
 
 // Convenience: a titled PlotFile of the mesh.
-PlotFile plot_mesh(const mesh::TriMesh& mesh, std::string title,
-                   const MeshPlotOptions& opts = {});
+PlotFile plot_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
+                   std::string title, const MeshPlotOptions& opts = {});
 
 }  // namespace feio::plot

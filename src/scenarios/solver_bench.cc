@@ -15,6 +15,7 @@
 #include "idlz/renumber.h"
 #include "idlz/shaping.h"
 #include "mesh/bandwidth.h"
+#include "mesh/topology.h"
 #include "scenarios/pipeline_bench.h"
 #include "util/diag.h"
 #include "util/metrics.h"
@@ -291,7 +292,8 @@ SolverBenchReport run_solver_bench(bool quick) {
     for (const bool rcm : {false, true}) {
       mesh::TriMesh m = bm.mesh;
       if (rcm) {
-        m.renumber_nodes(idlz::cuthill_mckee_permutation(m, /*reverse=*/true));
+        m.renumber_nodes(idlz::cuthill_mckee_permutation(mesh::Topology(m),
+                                                         /*reverse=*/true));
       }
       const fem::StaticProblem prob = make_problem(m);
       const fem::StoragePrediction pred = fem::predict_storage(prob);

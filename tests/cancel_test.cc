@@ -125,7 +125,7 @@ TEST(CancelTest, ExpiredTokenMakesOsplRunCheckedReportDeadline) {
   c.mesh.add_node({1.0, 0.0});
   c.mesh.add_node({0.0, 1.0});
   c.mesh.add_element(0, 1, 2);
-  c.mesh.classify_boundary();
+  c.mesh.classify_boundary(mesh::Topology(c.mesh));
   c.values = {0.0, 1.0, 2.0};
   c.title1 = "CANCEL TEST";
   const util::CancelToken expired{std::chrono::nanoseconds(0)};

@@ -14,6 +14,7 @@
 #include "idlz/punch.h"
 #include "json_check.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "ospl/deck.h"
 #include "ospl/ospl.h"
 #include "util/diag.h"
@@ -377,7 +378,7 @@ TEST(ValidationReportTest, FindingsCarryCodesAndMerge) {
   m.add_node({1, 1});
   m.add_node({2, 2});
   m.add_element(0, 1, 2);
-  const mesh::ValidationReport rep = mesh::validate(m);
+  const mesh::ValidationReport rep = mesh_helpers::validate(m);
   ASSERT_FALSE(rep.ok());
   ASSERT_FALSE(rep.diags.empty());
   EXPECT_EQ(rep.diags[0].code, "E-MESH-004");

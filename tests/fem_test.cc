@@ -1,10 +1,13 @@
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "fem/assembly.h"
 #include "fem/element.h"
 #include "fem/material.h"
+#include "fem/skyline.h"
 #include "fem/solver.h"
 #include "fem/stress.h"
 #include "util/error.h"
@@ -506,6 +509,62 @@ TEST(AssemblyTest, PerElementMaterials) {
   prob.set_element_material(1, Material::isotropic(777.0, 0.1));
   EXPECT_DOUBLE_EQ(prob.material_of(0).e1, 100.0);
   EXPECT_DOUBLE_EQ(prob.material_of(1).e1, 777.0);
+}
+
+// Assembly builds D once per run of elements sharing a material object:
+// an element material between runs of the default still gets its own D,
+// the stiffness is bit for bit the per-element sum, and an inadmissible
+// element material still throws, in assembly and in stress recovery.
+TEST(AssemblyTest, SharedMaterialsAssembleAsPerElementD) {
+  mesh::TriMesh m;
+  for (int j = 0; j < 2; ++j) {
+    for (int i = 0; i < 3; ++i) {
+      m.add_node({static_cast<double>(i), static_cast<double>(j)});
+    }
+  }
+  m.add_element(0, 1, 4);
+  m.add_element(0, 4, 3);
+  m.add_element(1, 2, 5);
+  m.add_element(1, 5, 4);
+  StaticProblem prob(m, Analysis::kPlaneStrain);
+  prob.set_material(Material::isotropic(100.0, 0.3));
+  prob.set_element_material(2, Material::orthotropic(50, 80, 60, 0.2, 0.25,
+                                                     0.3, 20));
+  SkylineMatrix k(prob.dof_skyline_lows());
+  std::vector<double> rhs;
+  prob.assemble_unconstrained(k, rhs);
+  std::vector<std::vector<double>> want(12, std::vector<double>(12, 0.0));
+  for (int e = 0; e < m.num_elements(); ++e) {
+    const ElementMatrices em = cst_matrices(
+        m, e, constitutive(prob.material_of(e), Analysis::kPlaneStrain),
+        Analysis::kPlaneStrain, 1.0);
+    const auto& n = m.element(e).n;
+    for (int r = 0; r < 6; ++r) {
+      for (int c = 0; c <= r; ++c) {
+        const int i = 2 * n[static_cast<size_t>(r / 2)] + r % 2;
+        const int j = 2 * n[static_cast<size_t>(c / 2)] + c % 2;
+        want[static_cast<size_t>(std::max(i, j))]
+            [static_cast<size_t>(std::min(i, j))] +=
+            em.k[static_cast<size_t>(r)][static_cast<size_t>(c)];
+      }
+    }
+  }
+  for (int i = 0; i < 12; ++i) {
+    for (int j = 0; j <= i; ++j) {
+      EXPECT_EQ(k.get(i, j),
+                want[static_cast<size_t>(i)][static_cast<size_t>(j)])
+          << i << "," << j;
+    }
+  }
+
+  Material bad = Material::isotropic(100.0, 0.3);
+  bad.g12 = -1.0;
+  prob.set_element_material(2, bad);
+  SkylineMatrix k2(prob.dof_skyline_lows());
+  EXPECT_THROW(prob.assemble_unconstrained(k2, rhs), Error);
+  StaticSolution u;
+  u.displacement.assign(6, Vec2{0.0, 0.0});
+  EXPECT_THROW(element_stresses(prob, u), Error);
 }
 
 TEST(StressRecoveryTest, NodalAverageIsAreaWeighted) {

@@ -1,4 +1,12 @@
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <cstdlib>
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -6,6 +14,8 @@
 #include "idlz/idlz.h"
 #include "mesh/topology.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
+#include "scenarios/scenarios.h"
 #include "util/error.h"
 
 namespace feio::idlz {
@@ -28,21 +38,21 @@ TEST(AssembleTest, SingleRectangleCounts) {
   const Assembly a = assemble({make(1, 1, 1, 4, 3)});
   EXPECT_EQ(a.mesh.num_nodes(), 12);
   EXPECT_EQ(a.mesh.num_elements(), 2 * 3 * 2);  // 3x2 cells, 2 triangles each
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
 }
 
 TEST(AssembleTest, NodesNumberedLeftToRightBottomToTop) {
   const Assembly a = assemble({make(1, 1, 1, 3, 2)});
   // Within the subdivision: (1,1) -> 0, (2,1) -> 1, (3,1) -> 2, (1,2) -> 3...
-  EXPECT_EQ(a.node_at.at(GridPoint{1, 1}), 0);
-  EXPECT_EQ(a.node_at.at(GridPoint{3, 1}), 2);
-  EXPECT_EQ(a.node_at.at(GridPoint{1, 2}), 3);
+  EXPECT_EQ(mesh_helpers::node_at(a, GridPoint{1, 1}), 0);
+  EXPECT_EQ(mesh_helpers::node_at(a, GridPoint{3, 1}), 2);
+  EXPECT_EQ(mesh_helpers::node_at(a, GridPoint{1, 2}), 3);
   EXPECT_EQ(a.grid_of[0], (GridPoint{1, 1}));
 }
 
 TEST(AssembleTest, InitialPositionsAreIntegerCoordinates) {
   const Assembly a = assemble({make(1, 2, 3, 4, 5)});
-  const int n = a.node_at.at(GridPoint{3, 4});
+  const int n = mesh_helpers::node_at(a, GridPoint{3, 4});
   EXPECT_EQ(a.mesh.pos(n), (geom::Vec2{3.0, 4.0}));
 }
 
@@ -50,9 +60,9 @@ TEST(AssembleTest, AdjacentSubdivisionsShareNodes) {
   // Two rectangles sharing the row l = 3.
   const Assembly a = assemble({make(1, 1, 1, 4, 3), make(2, 1, 3, 4, 5)});
   EXPECT_EQ(a.mesh.num_nodes(), 12 + 12 - 4);
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
   // The shared grid point resolves to one node id in both subdivisions.
-  const int shared = a.node_at.at(GridPoint{2, 3});
+  const int shared = mesh_helpers::node_at(a, GridPoint{2, 3});
   int hits = 0;
   for (int n : a.subdivision_nodes[0]) {
     if (n == shared) ++hits;
@@ -75,14 +85,14 @@ TEST(AssembleTest, RowTrapezoidElementCount) {
   const Assembly a = assemble({make(1, 1, 1, 9, 5, +1)});
   EXPECT_EQ(a.mesh.num_nodes(), 25);
   EXPECT_EQ(a.mesh.num_elements(), 2 + 6 + 10 + 14);
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
 }
 
 TEST(AssembleTest, ColTrapezoidElementCount) {
   const Assembly a = assemble({make(1, 1, 1, 3, 9, 0, -2)});  // 9,5,1
   EXPECT_EQ(a.mesh.num_nodes(), 15);
   EXPECT_EQ(a.mesh.num_elements(), (9 + 5 - 2) + (5 + 1 - 2));
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
 }
 
 TEST(AssembleTest, AllElementsCcw) {
@@ -94,8 +104,8 @@ TEST(AssembleTest, AllElementsCcw) {
 
 TEST(AssembleTest, BoundaryFlagsClassified) {
   const Assembly a = assemble({make(1, 1, 1, 4, 4)});
-  const int corner = a.node_at.at(GridPoint{1, 1});
-  const int mid = a.node_at.at(GridPoint{2, 2});
+  const int corner = mesh_helpers::node_at(a, GridPoint{1, 1});
+  const int mid = mesh_helpers::node_at(a, GridPoint{2, 2});
   EXPECT_NE(a.mesh.node(corner).boundary, mesh::BoundaryKind::kInterior);
   EXPECT_EQ(a.mesh.node(mid).boundary, mesh::BoundaryKind::kInterior);
 }
@@ -220,7 +230,7 @@ TEST(TriangulateStripTest, UnequalChainsCoverArea) {
   triangulate_strip(bottom, bpos, top, tpos, m, nullptr);
   EXPECT_EQ(m.num_elements(), 5 + 9 - 2);
   m.orient_ccw();
-  EXPECT_TRUE(mesh::validate(m).ok());
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
 }
 
 TEST(TriangulateStripTest, AlternatingDiagonalsUnionJack) {
@@ -231,7 +241,7 @@ TEST(TriangulateStripTest, AlternatingDiagonalsUnionJack) {
                     m, nullptr, DiagonalStyle::kAlternating);
   EXPECT_EQ(m.num_elements(), 6);
   m.orient_ccw();
-  EXPECT_TRUE(mesh::validate(m).ok());
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
   // Cell 0 has the "/" diagonal 0-5; cell 1 the "\" diagonal 5-2.
   auto has_edge = [&](int a, int b) {
     for (int e = 0; e < m.num_elements(); ++e) {
@@ -257,7 +267,7 @@ TEST(AssembleTest, DiagonalStyleProducesSameCounts) {
                                         DiagonalStyle::kAlternating);
   EXPECT_EQ(uniform.mesh.num_nodes(), alternating.mesh.num_nodes());
   EXPECT_EQ(uniform.mesh.num_elements(), alternating.mesh.num_elements());
-  EXPECT_TRUE(mesh::validate(alternating.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(alternating.mesh).ok());
   // And the connectivity genuinely differs.
   bool differs = false;
   for (int e = 0; e < uniform.mesh.num_elements(); ++e) {
@@ -275,6 +285,162 @@ TEST(TriangulateStripTest, DegeneratePairOfPointsProducesNothing) {
   const int b = m.add_node({0, 1});
   triangulate_strip({a}, {0}, {b}, {0}, m, nullptr);
   EXPECT_EQ(m.num_elements(), 0);
+}
+
+// ---- Differential numbering test ---------------------------------------
+//
+// The numbering assemble() used before it sorted, kept as the reference: a
+// std::map from grid point to node id, filled subdivision by subdivision in
+// grid_points() order, and triangulation through lookups in that map.
+
+struct MapAssembly {
+  std::vector<GridPoint> grid_of;
+  mesh::TriMesh mesh;
+  std::vector<std::vector<int>> subdivision_nodes;
+  std::vector<std::vector<int>> subdivision_elements;
+};
+
+MapAssembly map_assembly(const std::vector<Subdivision>& subs,
+                         DiagonalStyle diagonals) {
+  MapAssembly out;
+  std::map<GridPoint, int> node_at;
+  for (const Subdivision& sub : subs) {
+    std::vector<int>& nodes = out.subdivision_nodes.emplace_back();
+    for (const GridPoint& gp : sub.grid_points()) {
+      const auto [it, inserted] =
+          node_at.try_emplace(gp, static_cast<int>(out.grid_of.size()));
+      if (inserted) {
+        out.grid_of.push_back(gp);
+        out.mesh.add_node(
+            {static_cast<double>(gp.k), static_cast<double>(gp.l)});
+      }
+      nodes.push_back(it->second);
+    }
+  }
+  for (const Subdivision& sub : subs) {
+    std::vector<int>& elements = out.subdivision_elements.emplace_back();
+    for (int s = 0; s + 1 < sub.strip_count(); ++s) {
+      std::array<std::vector<int>, 2> chain;
+      std::array<std::vector<double>, 2> chain_pos;
+      for (size_t which = 0; which < 2; ++which) {
+        const int st = s + static_cast<int>(which);
+        for (int j = 0; j < sub.strip_width(st); ++j) {
+          const GridPoint gp = sub.strip_node(st, j);
+          chain[which].push_back(node_at.at(gp));
+          chain_pos[which].push_back(sub.is_col_trapezoid() ? gp.l : gp.k);
+        }
+      }
+      triangulate_strip(chain[0], chain_pos[0], chain[1], chain_pos[1],
+                        out.mesh, &elements, diagonals);
+    }
+  }
+  out.mesh.orient_ccw();
+  return out;
+}
+
+// assemble() against the reference, and its topology against a fresh one.
+void expect_numbering_matches_map(const std::vector<Subdivision>& subs,
+                                  DiagonalStyle diagonals,
+                                  const std::string& what) {
+  const Assembly a = assemble(subs, Limits::unlimited(), diagonals);
+  const MapAssembly want = map_assembly(subs, diagonals);
+  EXPECT_EQ(a.grid_of, want.grid_of) << what;
+  EXPECT_EQ(a.subdivision_nodes, want.subdivision_nodes) << what;
+  EXPECT_EQ(a.subdivision_elements, want.subdivision_elements) << what;
+  EXPECT_EQ(a.mesh.elements(), want.mesh.elements()) << what;
+  ASSERT_EQ(a.mesh.num_nodes(), want.mesh.num_nodes()) << what;
+  for (int n = 0; n < a.mesh.num_nodes(); ++n) {
+    EXPECT_EQ(a.mesh.pos(n), want.mesh.pos(n)) << what << " node " << n;
+  }
+  mesh_helpers::expect_topology_of(a.topology, a.mesh);
+}
+
+TEST(NumberingDifferentialTest, GalleryDecksNumberAsTheMapDid) {
+  for (const auto& nc : scenarios::all_idealizations()) {
+    expect_numbering_matches_map(nc.c.subdivisions, nc.c.options.diagonals,
+                                 nc.id);
+  }
+}
+
+// SplitMix64, so the decks are the same on every platform.
+struct Rng {
+  std::uint64_t state;
+  int below(int n) {
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<int>((z ^ (z >> 31)) % static_cast<unsigned>(n));
+  }
+};
+
+// A block of rectangles sharing their sides, a row trapezoid on its top
+// side and a column trapezoid on its right side (either may shrink to a
+// point: a triangular subdivision), and one more rectangle or trapezoid
+// dropped anywhere over the block, listed in shuffled order.
+std::vector<Subdivision> random_deck(Rng& rng) {
+  std::vector<Subdivision> deck;
+  std::vector<int> ks{1};
+  std::vector<int> ls{1};
+  for (int c = 1 + rng.below(3); c > 0; --c) {
+    ks.push_back(ks.back() + 1 + rng.below(4));
+  }
+  for (int r = 1 + rng.below(3); r > 0; --r) {
+    ls.push_back(ls.back() + 1 + rng.below(4));
+  }
+  for (size_t r = 0; r + 1 < ls.size(); ++r) {
+    for (size_t c = 0; c + 1 < ks.size(); ++c) {
+      deck.push_back(make(0, ks[c], ls[r], ks[c + 1], ls[r + 1]));
+    }
+  }
+  const int width = ks.back() - 1;
+  const int height = ls.back() - 1;
+  if (width >= 2) {  // long bottom row on the block's top side
+    const int rows = 1 + rng.below(width / 2);
+    deck.push_back(make(0, 1, ls.back(), ks.back(), ls.back() + rows, -1));
+  }
+  if (height >= 2) {  // long left column on the block's right side
+    const int cols = 1 + rng.below(height / 2);
+    deck.push_back(make(0, ks.back(), 1, ks.back() + cols, ls.back(), 0, -1));
+  }
+  const int k1 = 1 + rng.below(width + 1);
+  const int l1 = 1 + rng.below(height + 1);
+  const int t = rng.below(3) - 1;  // -1, 0 or +1
+  const int strips = 1 + rng.below(3);
+  const int across = std::max(1, 2 * strips * std::abs(t) + rng.below(3));
+  deck.push_back(rng.below(2) == 0
+                     ? make(0, k1, l1, k1 + across, l1 + strips, t)
+                     : make(0, k1, l1, k1 + strips, l1 + across, 0, t));
+  for (size_t i = deck.size(); i > 1; --i) {
+    std::swap(deck[i - 1], deck[static_cast<size_t>(
+                               rng.below(static_cast<int>(i)))]);
+  }
+  for (size_t i = 0; i < deck.size(); ++i) {
+    deck[i].id = static_cast<int>(i) + 1;
+  }
+  return deck;
+}
+
+TEST(NumberingDifferentialTest, RandomDecksNumberAsTheMapDid) {
+  Rng rng{20261020};
+  int shared = 0;
+  int triangles = 0;
+  for (int i = 0; i < 300; ++i) {
+    const std::vector<Subdivision> deck = random_deck(rng);
+    const DiagonalStyle diagonals = rng.below(2) == 0
+                                        ? DiagonalStyle::kUniform
+                                        : DiagonalStyle::kAlternating;
+    expect_numbering_matches_map(deck, diagonals,
+                                 "deck " + std::to_string(i));
+    size_t points = 0;
+    for (const Subdivision& sub : deck) {
+      points += sub.grid_points().size();
+      triangles += sub.is_triangle();
+    }
+    shared += assemble(deck, Limits::unlimited()).mesh.num_nodes() <
+              static_cast<int>(points);
+  }
+  EXPECT_EQ(shared, 300);  // every deck shares grid points
+  EXPECT_GT(triangles, 50);
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+#include <cstdint>
+#include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -6,10 +8,14 @@
 #include "idlz/deck.h"
 #include "idlz/idlz.h"
 #include "idlz/punch.h"
+#include "mesh/topology.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "ospl/deck.h"
+#include "scenarios/pipeline_bench.h"
 #include "scenarios/scenarios.h"
 #include "util/error.h"
+#include "util/metrics.h"
 
 namespace feio::idlz {
 namespace {
@@ -18,7 +24,7 @@ TEST(PipelineTest, RectangleEndToEnd) {
   const IdlzResult r = run(scenarios::fig02_rectangle());
   EXPECT_EQ(r.mesh.num_nodes(), 54);
   EXPECT_EQ(r.mesh.num_elements(), 80);
-  EXPECT_TRUE(mesh::validate(r.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok());
   // The initial (integer) mesh has the same topology.
   EXPECT_EQ(r.initial.num_nodes(), r.mesh.num_nodes());
   EXPECT_EQ(r.initial.num_elements(), r.mesh.num_elements());
@@ -279,7 +285,7 @@ TEST_P(GallerySweep, RunsAndValidates) {
   const auto cases = scenarios::all_idealizations();
   const auto& nc = cases[static_cast<size_t>(GetParam())];
   const IdlzResult r = run(nc.c);
-  EXPECT_TRUE(mesh::validate(r.mesh).ok()) << nc.id;
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok()) << nc.id;
   EXPECT_LE(r.mesh.num_nodes(), 500) << nc.id;
   EXPECT_LE(r.mesh.num_elements(), 850) << nc.id;
   EXPECT_GT(r.volume.boundary_nodes, 0) << nc.id;
@@ -291,6 +297,98 @@ TEST_P(GallerySweep, RunsAndValidates) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFigures, GallerySweep, ::testing::Range(0, 22));
+
+// Two wide, flat rows of cells whose shared row is shifted: reform flips
+// edges on the subdivisions' common side, so an element of one subdivision
+// ends up with a node of the other. Each subdivision plot still draws every
+// edge of its own elements once, and numbers only its own nodes.
+TEST(PipelineTest, SubdivisionPlotsAfterFlipsAcrossTheirCommonSide) {
+  IdlzCase c;
+  c.title = "CROSS";
+  c.options.make_plots = true;
+  for (int id = 1; id <= 2; ++id) {
+    Subdivision sub;
+    sub.id = id;
+    sub.k1 = 1;
+    sub.l1 = id;
+    sub.k2 = 3;
+    sub.l2 = id + 1;
+    c.subdivisions.push_back(sub);
+  }
+  const auto row = [](int l, double x, double y) {
+    return ShapeLine{1, l, 3, l, {x, y}, {x + 20.0, y}};
+  };
+  c.shaping = {{1, {row(1, 0, 0), row(2, 5, 1)}}, {2, {row(3, 0, 2)}}};
+  const IdlzResult r = run(c);
+  ASSERT_GT(r.reform.flips, 0);
+  ASSERT_EQ(r.plots.size(), 4u);
+  const mesh::Topology topo(r.mesh);
+  for (size_t si = 0; si < 2; ++si) {
+    std::set<int> edges;
+    std::set<int> nodes(r.subdivision_nodes[si].begin(),
+                        r.subdivision_nodes[si].end());
+    bool foreign = false;
+    for (int e : r.subdivision_elements[si]) {
+      for (int id : topo.element_edges(e)) edges.insert(id);
+      for (int n : r.mesh.element(e).n) foreign |= nodes.count(n) == 0;
+    }
+    EXPECT_TRUE(foreign) << si;
+    EXPECT_EQ(r.plots[2 + si].lines().size(), edges.size()) << si;
+    EXPECT_EQ(r.plots[2 + si].labels().size(), nodes.size()) << si;
+  }
+}
+
+// ---- Topology builds ----------------------------------------------------
+//
+// Each mesh state's topology is built once and handed to every stage that
+// reads it (docs/ALGORITHMS.md, "One topology per mesh state"); the
+// mesh.topology_builds counter pins how many builds a run makes.
+
+std::int64_t topology_builds(const util::MetricsRegistry& metrics) {
+  const util::MetricsSnapshot snap = metrics.snapshot();
+  const auto it = snap.counters.find("mesh.topology_builds");
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+// perfbench's strip_large idealization: assembly builds one, reform takes
+// it through its single pass, and RCM renumbering builds the final one.
+TEST(TopologyBuildsTest, StripWithRcmBuildsTwice) {
+  util::MetricsRegistry metrics;
+  RunOptions ro;
+  ro.metrics = &metrics;
+  ro.ordering = OrderingChoice::kRcm;
+  const IdlzResult r = run(scenarios::strip_case(60, 150, 10), ro);
+  ASSERT_EQ(r.reform.passes, 1);
+  ASSERT_TRUE(r.renumbering.applied);
+  EXPECT_EQ(topology_builds(metrics), 2);
+}
+
+// With plots, renumbering and punch on, as perfbench's gallery op runs
+// them: one build in assembly, one per reform pass after the first, one
+// after an applied renumbering, and none for the plots or for a checked
+// run's validation.
+TEST(TopologyBuildsTest, EveryGalleryFigureBuildsOncePerMeshState) {
+  for (scenarios::NamedCase& nc : scenarios::all_idealizations()) {
+    nc.c.options.make_plots = true;
+    nc.c.options.renumber_nodes = true;
+    nc.c.options.punch_output = true;
+    util::MetricsRegistry metrics;
+    RunOptions ro;
+    ro.metrics = &metrics;
+    const IdlzResult r = run(nc.c, ro);
+    ASSERT_TRUE(r.reform.converged) << nc.id;
+    const std::int64_t builds = topology_builds(metrics);
+    EXPECT_EQ(builds,
+              1 + (r.reform.passes - 1) + (r.renumbering.applied ? 1 : 0))
+        << nc.id;
+
+    util::MetricsRegistry checked_metrics;
+    ro.metrics = &checked_metrics;
+    DiagSink sink;
+    ASSERT_TRUE(run_checked(nc.c, sink, ro).has_value()) << nc.id;
+    EXPECT_LE(topology_builds(checked_metrics), builds) << nc.id;
+  }
+}
 
 }  // namespace
 }  // namespace feio::idlz

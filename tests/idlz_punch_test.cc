@@ -12,6 +12,7 @@
 #include "idlz/punch.h"
 #include "mesh/tri_mesh.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "scenarios/scenarios.h"
 #include "util/diag.h"
 #include "util/metrics.h"
@@ -161,7 +162,7 @@ TEST(PunchDiagTest, CheckedRunPunchesOnceUnderOneSpan) {
   ASSERT_EQ(r->mesh.num_elements(), 136);
 
   DiagSink want;
-  mesh::validate(r->mesh).merge_into(want);
+  mesh_helpers::validate(r->mesh).merge_into(want);
   EXPECT_EQ(r->nodal_cards,
             idlz::punch_nodal_cards(r->mesh, c.options.nodal_format, want,
                                     {"fig01.b", 8, 0, 0}));

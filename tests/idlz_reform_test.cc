@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include "idlz/assembler.h"
 #include "idlz/idlz.h"
 #include "idlz/reform.h"
 #include "mesh/quality.h"
 #include "mesh/topology.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "scenarios/pipeline_bench.h"
 #include "scenarios/scenarios.h"
 
@@ -73,11 +75,12 @@ TEST(FlipImprovesTest, NonAdjacentElementsFalse) {
 TEST(ReformTest, FlipsBadQuad) {
   mesh::TriMesh m = bad_quad();
   const double before = mesh::summarize_quality(m).min_angle_rad;
-  const ReformReport rep = reform(m);
+  mesh::Topology topo(m);
+  const ReformReport rep = reform(m, topo);
   EXPECT_EQ(rep.flips, 1);
   EXPECT_TRUE(rep.converged);
   EXPECT_GT(mesh::summarize_quality(m).min_angle_rad, before);
-  EXPECT_TRUE(mesh::validate(m).ok());
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
   // The new diagonal connects nodes 1 and 3.
   int diag13 = 0;
   for (int e = 0; e < 2; ++e) {
@@ -91,7 +94,8 @@ TEST(ReformTest, FlipsBadQuad) {
 
 TEST(ReformTest, PreservesCounts) {
   mesh::TriMesh m = bad_quad();
-  reform(m);
+  mesh::Topology topo(m);
+  reform(m, topo);
   EXPECT_EQ(m.num_nodes(), 4);
   EXPECT_EQ(m.num_elements(), 2);
 }
@@ -104,7 +108,8 @@ TEST(ReformTest, NoFlipsOnGoodMesh) {
   m.add_node({1.5, 0.9});
   m.add_element(0, 1, 2);
   m.add_element(1, 3, 2);
-  const ReformReport rep = reform(m);
+  mesh::Topology topo(m);
+  const ReformReport rep = reform(m, topo);
   EXPECT_EQ(rep.flips, 0);
   EXPECT_EQ(rep.passes, 1);
 }
@@ -118,9 +123,10 @@ TEST(ReformTest, NonConvexQuadNeverFlipped) {
   m.add_element(0, 1, 3);
   m.add_element(1, 2, 3);
   m.orient_ccw();
-  const ReformReport rep = reform(m);
+  mesh::Topology topo(m);
+  const ReformReport rep = reform(m, topo);
   EXPECT_EQ(rep.flips, 0);
-  EXPECT_TRUE(mesh::validate(m).ok());
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
 }
 
 TEST(ReformTest, Figure10NeedlesImprove) {
@@ -145,14 +151,14 @@ TEST(ReformTest, Figure10NeedlesImprove) {
   EXPECT_NEAR(qa.mean_min_angle_rad * kDegPerRad, 28.2, 0.05);
   EXPECT_GE(qa.min_angle_rad, qb.min_angle_rad - 1e-12);
   EXPECT_EQ(before.mesh.num_elements(), after.mesh.num_elements());
-  EXPECT_TRUE(mesh::validate(after.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(after.mesh).ok());
 }
 
 TEST(ReformTest, Figure9HatchReformKeepsMeshValid) {
   IdlzCase c = scenarios::fig09_dsrv_hatch();
   const IdlzResult r = run(c);
   EXPECT_TRUE(r.reform.converged);
-  EXPECT_TRUE(mesh::validate(r.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok());
   // Reform only ever improves the worst angle: 11.3 -> 14.3 degrees over
   // 43 flips here.
   EXPECT_GE(mesh::summarize_quality(r.mesh).min_angle_rad,
@@ -205,7 +211,7 @@ TEST_P(ReformSweep, MonotoneQuality) {
             mesh::summarize_quality(r.before_reform).min_angle_rad - 1e-12)
       << nc.id;
   EXPECT_EQ(r.mesh.num_elements(), r.before_reform.num_elements()) << nc.id;
-  EXPECT_TRUE(mesh::validate(r.mesh).ok()) << nc.id;
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok()) << nc.id;
   EXPECT_EQ(r.reform.passes, kPins[i].passes) << nc.id;
   EXPECT_EQ(r.reform.flips, kPins[i].flips) << nc.id;
 }
@@ -503,6 +509,202 @@ TEST(FlipDecisionDifferentialTest, QuadsWithUnderflowingOrOverflowingSquares) {
   }
   d.expect_none("scaled quads");
   EXPECT_GT(d.reference_flips, 0);
+}
+
+// ---- Differential pass test --------------------------------------------
+//
+// The reform loop before it kept its topology, kept as the reference: it
+// rebuilds the topology every pass and tests every interior edge. reform()
+// tests only the edges next to the previous pass's flips after its first
+// pass, and must still flip the same edges in every pass.
+
+// The shared and private nodes of two edge-adjacent elements, in the order
+// reform's flip writes them.
+bool reference_quad_nodes(const mesh::TriMesh& m, int e1, int e2, int& s1,
+                          int& s2, int& p1, int& p2) {
+  const auto& a = m.element(e1).n;
+  const auto& b = m.element(e2).n;
+  std::array<int, 2> shared{};
+  int count = 0;
+  for (int na : a) {
+    for (int nb : b) {
+      if (na == nb) {
+        if (count < 2) shared[static_cast<size_t>(count)] = na;
+        ++count;
+      }
+    }
+  }
+  if (count != 2) return false;
+  s1 = shared[0];
+  s2 = shared[1];
+  p1 = p2 = -1;
+  for (int na : a) {
+    if (na != s1 && na != s2) p1 = na;
+  }
+  for (int nb : b) {
+    if (nb != s1 && nb != s2) p2 = nb;
+  }
+  return p1 >= 0 && p2 >= 0 && p1 != p2;
+}
+
+struct ReferenceReform {
+  std::vector<int> pass_flips;
+  bool converged = true;
+};
+
+ReferenceReform reference_reform(mesh::TriMesh& m) {
+  ReferenceReform out;
+  for (int pass = 0; pass < 50; ++pass) {
+    int flips = 0;
+    const mesh::Topology topo(m);
+    std::vector<char> touched(static_cast<size_t>(m.num_elements()), 0);
+    for (int id = 0; id < topo.num_edges(); ++id) {
+      const std::span<const int> elems = topo.edge_elements(id);
+      if (elems.size() != 2) continue;
+      const int e1 = elems[0];
+      const int e2 = elems[1];
+      if (touched[static_cast<size_t>(e1)] || touched[static_cast<size_t>(e2)]) {
+        continue;
+      }
+      int s1, s2, p1, p2;
+      if (!reference_quad_nodes(m, e1, e2, s1, s2, p1, p2) ||
+          !flip_improves(m, e1, e2, 1e-9)) {
+        continue;
+      }
+      m.element(e1).n = {p1, p2, s1};
+      m.element(e2).n = {p1, p2, s2};
+      touched[static_cast<size_t>(e1)] = 1;
+      touched[static_cast<size_t>(e2)] = 1;
+      ++flips;
+    }
+    out.pass_flips.push_back(flips);
+    if (flips == 0) {
+      m.orient_ccw();
+      return out;
+    }
+  }
+  out.converged = false;
+  m.orient_ccw();
+  return out;
+}
+
+// Reforms `before` both ways and expects the same flips in every pass, the
+// same final corners, and reform's topology to be that of its result.
+// Returns the number of passes.
+int expect_reform_matches_reference(const mesh::TriMesh& before,
+                                    const std::string& what) {
+  mesh::TriMesh want = before;
+  const ReferenceReform ref = reference_reform(want);
+  mesh::TriMesh got = before;
+  mesh::Topology topo(got);
+  const ReformReport rep = reform(got, topo);
+  EXPECT_EQ(rep.pass_flips, ref.pass_flips) << what;
+  EXPECT_EQ(rep.passes, static_cast<int>(ref.pass_flips.size())) << what;
+  EXPECT_EQ(rep.converged, ref.converged) << what;
+  EXPECT_EQ(got.elements(), want.elements()) << what;
+  mesh_helpers::expect_topology_of(topo, got);
+  return rep.passes;
+}
+
+TEST(ReformDifferentialTest, GalleryMeshesFlipAsTheFullSweepDid) {
+  int multi_pass = 0;
+  for (const auto& nc : scenarios::all_idealizations()) {
+    multi_pass += expect_reform_matches_reference(run(nc.c).before_reform,
+                                                  nc.id) > 2;
+  }
+  EXPECT_EQ(multi_pass, 4);  // fig01, fig05, fig10 and kirsch
+}
+
+// A fan from the last of 121 points on a parabola: each pass's flips
+// enable the next ones, and reform stops at its 50-pass limit unconverged,
+// still flipping as the full sweep did and handing back the topology of
+// the mesh it stopped at.
+TEST(ReformDifferentialTest, UnconvergedFanStopsAsTheFullSweepDid) {
+  constexpr int kLast = 120;
+  mesh::TriMesh fan;
+  for (int i = 0; i <= kLast; ++i) {
+    const double t = static_cast<double>(i) / kLast;
+    fan.add_node({t, -t * t});
+  }
+  for (int i = 0; i + 1 < kLast; ++i) fan.add_element(kLast, i, i + 1);
+  fan.orient_ccw();
+  EXPECT_EQ(expect_reform_matches_reference(fan, "fan"), 50);
+  mesh::Topology topo(fan);
+  EXPECT_FALSE(reform(fan, topo).converged);
+}
+
+// Stretches an assembled grid of square cells by 1-4x along x and moves
+// every node by up to 0.1-0.3 of a cell: the needles this makes take
+// several passes to reform.
+mesh::TriMesh jittered(const std::vector<Subdivision>& subs, Rng& rng) {
+  Assembly a = assemble(subs, Limits::unlimited(),
+                        rng.below(2) == 0 ? DiagonalStyle::kUniform
+                                          : DiagonalStyle::kAlternating);
+  const double stretch = rng.in(1.0, 4.0);
+  const double jitter = rng.in(0.1, 0.3);
+  for (int n = 0; n < a.mesh.num_nodes(); ++n) {
+    const Vec2 p = a.mesh.pos(n);
+    a.mesh.set_pos(n, Vec2{p.x * stretch + rng.in(-jitter, jitter) * stretch,
+                           p.y + rng.in(-jitter, jitter)});
+  }
+  for (int e = 0; e < a.mesh.num_elements(); ++e) {
+    EXPECT_GT(a.mesh.signed_area(e), 0.0);
+  }
+  return a.mesh;
+}
+
+Subdivision rectangle(int id, int k1, int l1, int k2, int l2) {
+  Subdivision sub;
+  sub.id = id;
+  sub.k1 = k1;
+  sub.l1 = l1;
+  sub.k2 = k2;
+  sub.l2 = l2;
+  return sub;
+}
+
+TEST(ReformDifferentialTest, JitteredGridsFlipAsTheFullSweepDid) {
+  Rng rng{20261020};
+  int three_pass = 0;
+  for (int i = 0; i < 40; ++i) {
+    const int k2 = 4 + rng.below(12);
+    const int l2 = 3 + rng.below(10);
+    const Subdivision sub = rectangle(1, 1, 1, k2, l2);
+    three_pass += expect_reform_matches_reference(
+                      jittered({sub}, rng), "grid " + std::to_string(i)) >= 3;
+  }
+  EXPECT_GE(three_pass, 20);  // 28 of the 40, taking 3 to 8 passes
+}
+
+// Two overlapping rectangles share their overlap's grid points, so their
+// elements overlap there and some edges have three or four elements. The
+// skip needs no manifold mesh, so reform still flips as the full sweep.
+TEST(ReformDifferentialTest, OverlappingSubdivisionsFlipAsTheFullSweepDid) {
+  Rng rng{20261021};
+  int non_manifold = 0;
+  int multi_pass = 0;
+  for (int i = 0; i < 40; ++i) {
+    const int k2 = 4 + rng.below(6);
+    const int l2 = 4 + rng.below(6);
+    const int k1 = 2 + rng.below(k2 - 2);
+    const int l1 = 2 + rng.below(l2 - 2);
+    const int width = 2 + rng.below(6);
+    const int height = 2 + rng.below(6);
+    const Subdivision a = rectangle(1, 1, 1, k2, l2);
+    const Subdivision b = rectangle(2, k1, l1, k1 + width, l1 + height);
+    const mesh::TriMesh m = jittered({a, b}, rng);
+    const mesh::Topology topo(m);
+    bool over = false;
+    for (int id = 0; id < topo.num_edges(); ++id) {
+      over |= topo.edge_elements(id).size() > 2;
+    }
+    non_manifold += over;
+    multi_pass +=
+        expect_reform_matches_reference(m, "overlap " + std::to_string(i)) >=
+        2;
+  }
+  EXPECT_GE(non_manifold, 35);  // all 40 here
+  EXPECT_GE(multi_pass, 35);    // all 40 here
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "idlz/renumber.h"
 #include "mesh/bandwidth.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "scenarios/scenarios.h"
 
 namespace feio::idlz {
@@ -44,7 +45,8 @@ mesh::TriMesh shuffled(mesh::TriMesh m, unsigned seed) {
 
 TEST(PermutationTest, IsBijection) {
   const mesh::TriMesh m = shuffled(grid_mesh(6, 4), 1);
-  const std::vector<int> perm = cuthill_mckee_permutation(m, false);
+  const std::vector<int> perm =
+      cuthill_mckee_permutation(mesh::Topology(m), false);
   std::vector<char> seen(perm.size(), 0);
   for (int p : perm) {
     ASSERT_GE(p, 0);
@@ -57,20 +59,20 @@ TEST(PermutationTest, IsBijection) {
 TEST(RenumberTest, ReducesShuffledBandwidth) {
   mesh::TriMesh m = shuffled(grid_mesh(8, 4), 7);
   const int before = mesh::bandwidth(m);
-  const RenumberReport rep = renumber(m);
+  const RenumberReport rep = renumber(m, mesh::Topology(m));
   EXPECT_TRUE(rep.applied);
   EXPECT_LT(rep.bandwidth_after, before);
   EXPECT_EQ(rep.bandwidth_after, mesh::bandwidth(m));
   // A narrow strip graph should come close to its natural bandwidth.
   EXPECT_LE(rep.bandwidth_after, 8);
-  EXPECT_TRUE(mesh::validate(m).ok());
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
 }
 
 TEST(RenumberTest, KeepsOptimalNumbering) {
   // A 1 x n strip numbered along its length is already near-optimal.
   mesh::TriMesh m = grid_mesh(1, 10);
   const int before = mesh::bandwidth(m);
-  const RenumberReport rep = renumber(m);
+  const RenumberReport rep = renumber(m, mesh::Topology(m));
   EXPECT_LE(rep.bandwidth_after, before);
   EXPECT_EQ(rep.bandwidth_before, before);
 }
@@ -80,7 +82,7 @@ TEST(RenumberTest, GeometryUnchanged) {
   double area_before = 0.0;
   m.orient_ccw();
   for (int e = 0; e < m.num_elements(); ++e) area_before += m.signed_area(e);
-  renumber(m);
+  renumber(m, mesh::Topology(m));
   double area_after = 0.0;
   for (int e = 0; e < m.num_elements(); ++e) {
     area_after += std::abs(m.signed_area(e));
@@ -91,7 +93,7 @@ TEST(RenumberTest, GeometryUnchanged) {
 TEST(RenumberTest, PermutationFieldMatchesApplication) {
   mesh::TriMesh m = shuffled(grid_mesh(6, 3), 11);
   mesh::TriMesh copy = m;
-  const RenumberReport rep = renumber(m);
+  const RenumberReport rep = renumber(m, mesh::Topology(m));
   ASSERT_TRUE(rep.applied);
   copy.renumber_nodes(rep.permutation);
   for (int n = 0; n < m.num_nodes(); ++n) {
@@ -102,9 +104,10 @@ TEST(RenumberTest, PermutationFieldMatchesApplication) {
 TEST(RenumberTest, SchemesSelectable) {
   mesh::TriMesh m1 = shuffled(grid_mesh(7, 3), 5);
   mesh::TriMesh m2 = m1;
-  const RenumberReport cm = renumber(m1, NumberingScheme::kCuthillMcKee);
+  const RenumberReport cm =
+      renumber(m1, mesh::Topology(m1), NumberingScheme::kCuthillMcKee);
   const RenumberReport rcm =
-      renumber(m2, NumberingScheme::kReverseCuthillMcKee);
+      renumber(m2, mesh::Topology(m2), NumberingScheme::kReverseCuthillMcKee);
   EXPECT_EQ(cm.bandwidth_after, rcm.bandwidth_after);  // reversal preserves bw
   // RCM profile is never worse than CM's (George's theorem).
   EXPECT_LE(rcm.profile_after, cm.profile_after);
@@ -117,7 +120,7 @@ TEST(RenumberTest, DisconnectedComponentsHandled) {
   for (int i = 0; i < 3; ++i) m.add_node({100.0 + i, 100.0});
   m.add_element(base, base + 1, base + 2);
   mesh::TriMesh sh = shuffled(m, 2);
-  EXPECT_NO_THROW(renumber(sh));
+  EXPECT_NO_THROW(renumber(sh, mesh::Topology(sh)));
 }
 
 // Compressed rows of a graph given as per-node neighbour lists.
@@ -200,7 +203,8 @@ TEST(PermutationTest, DisconnectedMeshesStayBijective) {
   for (unsigned seed : {1u, 7u, 23u, 40u, 91u}) {
     const mesh::TriMesh m = three_components(seed);
     for (bool reverse : {false, true}) {
-      const std::vector<int> perm = cuthill_mckee_permutation(m, reverse);
+      const std::vector<int> perm =
+          cuthill_mckee_permutation(mesh::Topology(m), reverse);
       ASSERT_EQ(perm.size(), static_cast<size_t>(m.num_nodes()));
       EXPECT_TRUE(is_bijection(perm))
           << "seed=" << seed << " reverse=" << reverse;
@@ -212,9 +216,9 @@ TEST(RenumberTest, DisconnectedRenumberIsValidAndNeverWorse) {
   for (unsigned seed : {3u, 17u}) {
     mesh::TriMesh m = three_components(seed);
     const int before = mesh::bandwidth(m);
-    const RenumberReport rep = renumber(m);
+    const RenumberReport rep = renumber(m, mesh::Topology(m));
     EXPECT_LE(rep.bandwidth_after, before) << "seed=" << seed;
-    EXPECT_TRUE(mesh::validate(m).ok()) << "seed=" << seed;
+    EXPECT_TRUE(mesh_helpers::validate(m).ok()) << "seed=" << seed;
     if (rep.applied) {
       EXPECT_TRUE(is_bijection(rep.permutation)) << "seed=" << seed;
     }
@@ -271,8 +275,8 @@ TEST(RenumberTest, PermutationScoresMatchRenumberedCopy) {
       std::mt19937 rng(seed + 100);
       std::shuffle(random.begin(), random.end(), rng);
       for (const std::vector<int>& perm :
-           {cuthill_mckee_permutation(m, false),
-            cuthill_mckee_permutation(m, true), random}) {
+           {cuthill_mckee_permutation(mesh::Topology(m), false),
+            cuthill_mckee_permutation(mesh::Topology(m), true), random}) {
         mesh::TriMesh copy = m;
         copy.renumber_nodes(perm);
         EXPECT_EQ(mesh::bandwidth(m, perm), mesh::bandwidth(copy))
@@ -286,7 +290,7 @@ TEST(RenumberTest, PermutationScoresMatchRenumberedCopy) {
          {NumberingScheme::kCuthillMcKee,
           NumberingScheme::kReverseCuthillMcKee, NumberingScheme::kBest}) {
       mesh::TriMesh m = shuffled(grid_mesh(9, 5), seed);
-      const RenumberReport rep = renumber(m, scheme);
+      const RenumberReport rep = renumber(m, mesh::Topology(m), scheme);
       EXPECT_EQ(rep.bandwidth_after, mesh::bandwidth(m)) << "seed=" << seed;
       EXPECT_EQ(rep.profile_after, mesh::profile(m)) << "seed=" << seed;
     }
@@ -341,7 +345,7 @@ TEST_P(RenumberSweep, NeverWorse) {
   c.options.renumber_nodes = true;
   const IdlzResult r = run(c);
   EXPECT_LE(r.renumbering.bandwidth_after, r.renumbering.bandwidth_before);
-  EXPECT_TRUE(mesh::validate(r.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFigures, RenumberSweep, ::testing::Range(0, 22));

@@ -1,10 +1,13 @@
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "idlz/assembler.h"
 #include "idlz/shaping.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "util/error.h"
 
 namespace feio::idlz {
@@ -70,8 +73,30 @@ TEST(ShapingTest, RectangleParallelPair) {
   EXPECT_EQ(rep.nodes_from_cards, 6);
   EXPECT_EQ(rep.nodes_interpolated, 3);
   // Middle row interpolates halfway.
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{2, 2})), (Vec2{2, 1}));
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 2})),
+            (Vec2{2, 1}));
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
+}
+
+// Shaping that mirrors a subdivision turns every element clockwise; the
+// orientation afterwards swaps their corners 1 and 2, and the assembly's
+// topology must follow (its element edge ids 0 and 2 swap).
+TEST(ShapingTest, MirroredSubdivisionKeepsTopologyInStep) {
+  const std::vector<Subdivision> subs{make(1, 1, 1, 4, 3)};
+  Assembly a = assemble(subs);
+  mesh_helpers::expect_topology_of(a.topology, a.mesh);
+  const std::vector<mesh::Element> before = a.mesh.elements();
+  shape(subs,
+        {{1,
+          {line(1, 1, 4, 1, {6, 0}, {0, 0}),
+           line(1, 3, 4, 3, {6, 2}, {0, 2})}}},
+        a);
+  for (int e = 0; e < a.mesh.num_elements(); ++e) {
+    const auto& was = before[static_cast<size_t>(e)].n;
+    EXPECT_EQ(a.mesh.element(e).n,
+              (std::array<int, 3>{was[0], was[2], was[1]}));
+  }
+  mesh_helpers::expect_topology_of(a.topology, a.mesh);
 }
 
 TEST(ShapingTest, RectangleCrossPair) {
@@ -83,8 +108,10 @@ TEST(ShapingTest, RectangleCrossPair) {
            line(3, 1, 3, 3, {6, 0}, {6, 2})}}},
         a);
   // Rows are straight between the located side nodes.
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{2, 1})), (Vec2{3, 0}));
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{2, 2})), (Vec2{3, 1}));
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 1})),
+            (Vec2{3, 0}));
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 2})),
+            (Vec2{3, 1}));
 }
 
 TEST(ShapingTest, ArcPlacesNodesAtEqualAngles) {
@@ -96,7 +123,7 @@ TEST(ShapingTest, ArcPlacesNodesAtEqualAngles) {
           {line(1, 1, 1, 3, {2, 0}, {0, 2}, 2.0),
            line(3, 1, 3, 3, {4, 0}, {0, 4})}}},
         a);
-  const Vec2 mid = a.mesh.pos(a.node_at.at(GridPoint{1, 2}));
+  const Vec2 mid = a.mesh.pos(mesh_helpers::node_at(a, GridPoint{1, 2}));
   EXPECT_NEAR(mid.x, 2.0 * std::cos(M_PI / 4), 1e-12);
   EXPECT_NEAR(mid.y, 2.0 * std::sin(M_PI / 4), 1e-12);
 }
@@ -111,8 +138,8 @@ TEST(ShapingTest, TrapezoidParallelInterpolation) {
            line(5, 3, 5, 3, {4, 4}, {4, 4})}}},
         a);
   // The middle row (5 nodes) spans the midline between base and apex.
-  const Vec2 left = a.mesh.pos(a.node_at.at(GridPoint{3, 2}));
-  const Vec2 right = a.mesh.pos(a.node_at.at(GridPoint{7, 2}));
+  const Vec2 left = a.mesh.pos(mesh_helpers::node_at(a, GridPoint{3, 2}));
+  const Vec2 right = a.mesh.pos(mesh_helpers::node_at(a, GridPoint{7, 2}));
   EXPECT_NEAR(left.y, 2.0, 1e-12);
   EXPECT_NEAR(right.y, 2.0, 1e-12);
   EXPECT_NEAR(left.x, 2.0, 1e-12);
@@ -130,7 +157,8 @@ TEST(ShapingTest, NeighborLocatedSideCountsAsLocated) {
                            line(1, 3, 3, 3, {0, 2}, {4, 2})}},
                          {2, {line(1, 5, 3, 5, {0, 5}, {4, 5})}}},
                         a));
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{2, 4})), (Vec2{2, 3.5}));
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 4})),
+            (Vec2{2, 3.5}));
 }
 
 TEST(ShapingTest, LocatedNodesAreNeverMoved) {
@@ -144,7 +172,8 @@ TEST(ShapingTest, LocatedNodesAreNeverMoved) {
            line(1, 3, 3, 3, {0, 2}, {4, 2})}},
          {2, {line(1, 5, 3, 5, {0, 8}, {4, 8})}}},
         a);
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{2, 3})), (Vec2{2, 2}));
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 3})),
+            (Vec2{2, 2}));
 }
 
 TEST(ShapingTest, MissingOppositePairThrows) {
@@ -205,7 +234,7 @@ TEST(ShapingTest, PreferOwnCardsWhenBothPairsLocated) {
            line(5, 1, 5, 3, {8, 0}, {8, 4}, 12.0)}}},
         a);
   // Side midpoints bulge off the straight line (the arc was honoured).
-  const Vec2 lm = a.mesh.pos(a.node_at.at(GridPoint{1, 2}));
+  const Vec2 lm = a.mesh.pos(mesh_helpers::node_at(a, GridPoint{1, 2}));
   EXPECT_GT(std::abs(lm.x - 0.0), 0.05);
 }
 
@@ -221,7 +250,8 @@ TEST(ShapingTest, UnequalNodeSpacingPropagatesInward) {
            line(1, 3, 3, 3, {0, 4}, {1, 4}),
            line(3, 3, 5, 3, {1, 4}, {8, 4})}}},
         a);
-  const Vec2 mid_row_second = a.mesh.pos(a.node_at.at(GridPoint{2, 2}));
+  const Vec2 mid_row_second =
+      a.mesh.pos(mesh_helpers::node_at(a, GridPoint{2, 2}));
   EXPECT_NEAR(mid_row_second.x, 0.5, 1e-12);
   EXPECT_NEAR(mid_row_second.y, 2.0, 1e-12);
 }
@@ -247,8 +277,9 @@ TEST(ShapingTest, TriangleSubdivisionPointSide) {
                           {line(1, 5, 1, 5, {0, 4}, {0, 4}),
                            line(5, 1, 5, 9, {4, 0}, {4, 8})}}},
                         a));
-  EXPECT_EQ(a.mesh.pos(a.node_at.at(GridPoint{1, 5})), (Vec2{0, 4}));
-  EXPECT_TRUE(mesh::validate(a.mesh).ok());
+  EXPECT_EQ(a.mesh.pos(mesh_helpers::node_at(a, GridPoint{1, 5})),
+            (Vec2{0, 4}));
+  EXPECT_TRUE(mesh_helpers::validate(a.mesh).ok());
 }
 
 TEST(ShapingTest, ArcRespectsLimitOverride) {

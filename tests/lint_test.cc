@@ -140,7 +140,7 @@ TEST(LintOsplDeckTest, WideDeltaWarnsAtHeaderCard) {
       c.mesh.add_element(a, a + 6, a + 5);
     }
   }
-  c.mesh.classify_boundary();
+  c.mesh.classify_boundary(mesh::Topology(c.mesh));
   c.delta = 100.0;
 
   DiagSink sink;

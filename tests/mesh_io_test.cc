@@ -4,10 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "idlz/idlz.h"
 #include "mesh/io.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "scenarios/scenarios.h"
-#include "idlz/idlz.h"
 #include "util/error.h"
 
 namespace feio::mesh {
@@ -21,7 +22,7 @@ TriMesh square() {
   m.add_node({0, 1});
   m.add_element(0, 1, 2);
   m.add_element(0, 2, 3);
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   return m;
 }
 
@@ -61,7 +62,7 @@ TEST(MeshIoTest, OffRoundTripProductionMesh) {
   const TriMesh rt = read_off_string(to_off(m));
   EXPECT_EQ(rt.num_nodes(), m.num_nodes());
   EXPECT_EQ(rt.num_elements(), m.num_elements());
-  EXPECT_TRUE(validate(rt).ok());
+  EXPECT_TRUE(mesh_helpers::validate(rt).ok());
 }
 
 TEST(MeshIoTest, OffSkipsComments) {

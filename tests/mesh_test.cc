@@ -10,6 +10,7 @@
 #include "mesh/topology.h"
 #include "mesh/tri_mesh.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "util/error.h"
 
 namespace feio::mesh {
@@ -77,7 +78,7 @@ TEST(TriMeshTest, OrientCcwFlipsClockwiseElements) {
 
 TEST(TriMeshTest, ClassifyBoundarySquare) {
   TriMesh m = square_mesh();
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   // Every node is on the boundary; nodes 1 and 3 belong to one element.
   EXPECT_EQ(m.node(0).boundary, BoundaryKind::kBoundaryShared);
   EXPECT_EQ(m.node(1).boundary, BoundaryKind::kBoundarySingle);
@@ -87,7 +88,7 @@ TEST(TriMeshTest, ClassifyBoundarySquare) {
 
 TEST(TriMeshTest, ClassifyBoundaryInteriorNode) {
   TriMesh m = grid_mesh(2);
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   // Node at (1,1) (index 4) is interior.
   EXPECT_EQ(m.node(4).boundary, BoundaryKind::kInterior);
   EXPECT_EQ(m.node(0).boundary, BoundaryKind::kBoundaryShared);
@@ -263,8 +264,8 @@ TEST(BandwidthTest, ProfilePositiveAndBoundedByBandwidth) {
 
 TEST(ValidateTest, GoodMeshPasses) {
   TriMesh m = grid_mesh(3);
-  m.classify_boundary();
-  const ValidationReport rep = validate(m);
+  m.classify_boundary(mesh::Topology(m));
+  const ValidationReport rep = mesh_helpers::validate(m);
   EXPECT_TRUE(rep.ok()) << (rep.errors().empty() ? "" : rep.errors()[0]);
   EXPECT_TRUE(rep.warnings().empty());
 }
@@ -272,7 +273,7 @@ TEST(ValidateTest, GoodMeshPasses) {
 TEST(ValidateTest, DetectsDuplicateElement) {
   TriMesh m = square_mesh();
   m.add_element(2, 0, 1);  // same nodes as element 0, rotated
-  const ValidationReport rep = validate(m);
+  const ValidationReport rep = mesh_helpers::validate(m);
   ASSERT_FALSE(rep.ok());
   EXPECT_NE(rep.errors()[0].find("duplicate"), std::string::npos);
 }
@@ -283,7 +284,7 @@ TEST(ValidateTest, DetectsZeroArea) {
   m.add_node({1, 1});
   m.add_node({2, 2});
   m.add_element(0, 1, 2);
-  EXPECT_FALSE(validate(m).ok());
+  EXPECT_FALSE(mesh_helpers::validate(m).ok());
 }
 
 TEST(ValidateTest, DetectsNonManifoldEdge) {
@@ -296,25 +297,25 @@ TEST(ValidateTest, DetectsNonManifoldEdge) {
   m.add_element(0, 1, 2);
   m.add_element(0, 1, 3);
   m.add_element(0, 1, 4);  // edge (0,1) now in three elements
-  const ValidationReport rep = validate(m);
+  const ValidationReport rep = mesh_helpers::validate(m);
   ASSERT_FALSE(rep.ok());
   EXPECT_NE(rep.errors()[0].find("shared by 3"), std::string::npos);
 }
 
 TEST(ValidateTest, WarnsOnWrongBoundaryFlag) {
   TriMesh m = square_mesh();
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   m.node(0).boundary = BoundaryKind::kInterior;  // wrong on purpose
-  const ValidationReport rep = validate(m);
+  const ValidationReport rep = mesh_helpers::validate(m);
   EXPECT_TRUE(rep.ok());
   EXPECT_FALSE(rep.warnings().empty());
 }
 
 TEST(ValidateTest, WarnsOnIsolatedNode) {
   TriMesh m = square_mesh();
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   m.add_node({9, 9});
-  const ValidationReport rep = validate(m);
+  const ValidationReport rep = mesh_helpers::validate(m);
   EXPECT_TRUE(rep.ok());
   bool found = false;
   for (const auto& w : rep.warnings()) {
@@ -329,8 +330,8 @@ TEST(ValidateTest, WarnsOnDisconnectedComponents) {
   const int b = m.add_node({11, 10});
   const int c = m.add_node({10, 11});
   m.add_element(a, b, c);
-  m.classify_boundary();
-  const ValidationReport rep = validate(m);
+  m.classify_boundary(mesh::Topology(m));
+  const ValidationReport rep = mesh_helpers::validate(m);
   EXPECT_TRUE(rep.ok());
   bool found = false;
   for (const auto& w : rep.warnings()) {
@@ -346,8 +347,8 @@ class GridMeshTest : public ::testing::TestWithParam<int> {};
 TEST_P(GridMeshTest, EulerCharacteristic) {
   const int n = GetParam();
   TriMesh m = grid_mesh(n);
-  m.classify_boundary();
-  EXPECT_TRUE(validate(m).ok());
+  m.classify_boundary(mesh::Topology(m));
+  EXPECT_TRUE(mesh_helpers::validate(m).ok());
   const Topology t(m);
   const long edges = static_cast<long>(t.boundary_edges().size()) +
                      static_cast<long>(t.interior_edges().size());

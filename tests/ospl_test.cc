@@ -13,6 +13,7 @@
 #include "ospl/ospl.h"
 #include "scenarios/scenarios.h"
 #include "util/error.h"
+#include "util/metrics.h"
 
 namespace feio::ospl {
 namespace {
@@ -443,7 +444,7 @@ mesh::TriMesh grid(int n, std::vector<double>* values) {
       m.add_element(id(i, j), id(i + 1, j + 1), id(i, j + 1));
     }
   }
-  m.classify_boundary();
+  m.classify_boundary(mesh::Topology(m));
   return m;
 }
 
@@ -535,10 +536,31 @@ TEST(OsplRunTest, Table1CapacityCaseRunsAtPaperLimits) {
       c.mesh.add_element(id(i, j), id(i + 1, j + 1), id(i, j + 1));
     }
   }
-  c.mesh.classify_boundary();
+  c.mesh.classify_boundary(mesh::Topology(c.mesh));
   EXPECT_EQ(c.mesh.num_nodes(), 525);
   EXPECT_EQ(c.mesh.num_elements(), 960);
   EXPECT_FALSE(run(c).segments.empty());
+}
+
+// One topology build either way: a checked run's validation builds it
+// after its element checks and the boundary stage reuses it; an unchecked
+// run's boundary stage builds its own.
+TEST(OsplRunTest, BuildsTopologyOnce) {
+  OsplCase c;
+  c.mesh = grid(4, &c.values);
+  for (const bool checked : {false, true}) {
+    util::MetricsRegistry metrics;
+    RunOptions ro;
+    ro.metrics = &metrics;
+    DiagSink sink;
+    if (checked) {
+      ASSERT_TRUE(run_checked(c, sink, ro).has_value()) << sink.render_text();
+    } else {
+      run(c, ro);
+    }
+    EXPECT_EQ(metrics.snapshot().counters.at("mesh.topology_builds"), 1)
+        << (checked ? "checked" : "unchecked");
+  }
 }
 
 TEST(OsplRunTest, ValueCountMismatchThrows) {

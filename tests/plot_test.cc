@@ -108,7 +108,7 @@ TEST(MeshPlotTest, DrawsEveryEdgeOnce) {
   m.add_element(0, 1, 2);
   m.add_element(0, 2, 3);
   PlotFile p;
-  draw_mesh(m, p);
+  draw_mesh(m, mesh::Topology(m), p);
   EXPECT_EQ(p.lines().size(), 5u);  // 4 boundary + 1 diagonal
   int heavy = 0;
   for (const LineSeg& l : p.lines()) {
@@ -124,7 +124,8 @@ TEST(MeshPlotTest, NumbersNodesOneBased) {
   m.add_node({0, 1});
   m.add_element(0, 1, 2);
   const PlotFile p =
-      plot_mesh(m, "T", MeshPlotOptions{.number_nodes = true});
+      plot_mesh(m, mesh::Topology(m), "T",
+                MeshPlotOptions{.number_nodes = true});
   ASSERT_EQ(p.labels().size(), 3u);
   EXPECT_EQ(p.labels()[0].text, "1");
   EXPECT_EQ(p.labels()[2].text, "3");
@@ -137,7 +138,8 @@ TEST(MeshPlotTest, NumbersElements) {
   m.add_node({0, 1});
   m.add_element(0, 1, 2);
   const PlotFile p = plot_mesh(
-      m, "T", MeshPlotOptions{.number_nodes = false, .number_elements = true});
+      m, mesh::Topology(m), "T",
+      MeshPlotOptions{.number_nodes = false, .number_elements = true});
   ASSERT_EQ(p.labels().size(), 1u);
   EXPECT_EQ(p.labels()[0].text, "1");
   // Element label sits at the centroid.

@@ -6,6 +6,7 @@
 
 #include "idlz/idlz.h"
 #include "mesh/validate.h"
+#include "mesh_helpers.h"
 #include "ospl/ospl.h"
 #include "scenarios/scenarios.h"
 
@@ -37,7 +38,7 @@ TEST(SideNodesTest, ValidAfterRenumbering) {
 
 TEST(GeometryTest, GlassJointGradesTheMesh) {
   const IdlzResult r = idlz::run(fig01_glass_joint());
-  EXPECT_TRUE(mesh::validate(r.mesh).ok());
+  EXPECT_TRUE(mesh_helpers::validate(r.mesh).ok());
   // The joint band reaches inward to r = 3; the plain glass stays at 4..5.
   const auto b = r.mesh.bounds();
   EXPECT_NEAR(b.lo.x, 3.0, 1e-9);

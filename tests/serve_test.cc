@@ -226,7 +226,7 @@ std::string small_ospl_deck() {
         c.mesh.add_element(a + 1, a + n + 1, a + n);
       }
     }
-    c.mesh.classify_boundary();
+    c.mesh.classify_boundary(mesh::Topology(c.mesh));
     c.title1 = "SERVE TEST";
     return ospl::write_deck(c);
   }();

@@ -57,7 +57,7 @@ std::string base_ospl_deck() {
       c.mesh.add_element(a + 1, a + n + 1, a + n);
     }
   }
-  c.mesh.classify_boundary();
+  c.mesh.classify_boundary(mesh::Topology(c.mesh));
   c.title1 = "TORTURE BASE";
   c.title2 = "5 X 5 GRID";
   return ospl::write_deck(c);

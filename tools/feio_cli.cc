@@ -456,10 +456,12 @@ int run_figures(const Args& args) {
   for (const auto& nc : scenarios::all_idealizations()) {
     const idlz::IdlzResult r = idlz::run(nc.c);
     const std::string stem = args.out_dir + "/" + nc.id;
+    plot::write_svg(plot::plot_mesh(r.initial, mesh::Topology(r.initial),
+                                    nc.c.title + " - INITIAL REPRESENTATION"),
+                    stem + "_initial.svg");
     plot::write_svg(
-        plot::plot_mesh(r.initial, nc.c.title + " - INITIAL REPRESENTATION"),
-        stem + "_initial.svg");
-    plot::write_svg(plot::plot_mesh(r.mesh, nc.c.title), stem + "_final.svg");
+        plot::plot_mesh(r.mesh, mesh::Topology(r.mesh), nc.c.title),
+        stem + "_final.svg");
     std::printf("%-8s %4d nodes %4d elements -> %s_{initial,final}.svg\n",
                 nc.id.c_str(), r.mesh.num_nodes(), r.mesh.num_elements(),
                 stem.c_str());
