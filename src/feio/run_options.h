@@ -17,9 +17,10 @@ class FactorCache;
 namespace feio {
 
 // Node-ordering override for the idealization pipeline's renumber pass.
-// kDeckDefault keeps the deck's own NONUMB option and scheme; kRcm forces
-// the pass on with reverse Cuthill–McKee and kNone forces it off — the
-// ordering axis of the solver bench. The same deck under two orderings
+// kDeckDefault keeps the deck's own NONUMB option (renumbering with the
+// better of Cuthill–McKee and its reverse); kRcm forces the pass on with
+// reverse Cuthill–McKee and kNone forces it off — the ordering axis of the
+// solver bench. The same deck under two orderings
 // produces different meshes, so their factors never share a cache entry.
 enum class OrderingChoice {
   kDeckDefault,
@@ -29,7 +30,7 @@ enum class OrderingChoice {
 
 // Options applied to one pipeline run. Every entry point defaults its
 // options to RunOptions{}: no sinks, no deadline, no cache, the deck's own
-// ordering, plots and punching as the case asks.
+// ordering. The case's own IdlzOptions decide its plots and cards.
 struct RunOptions {
   // No stage reads this: every pipeline stage runs serially on the
   // calling thread, and threads start only in feio serve's job pool and
@@ -52,10 +53,6 @@ struct RunOptions {
   // one. The token must outlive the call.
   const util::CancelToken* cancel = nullptr;
 
-  // Diag toggle: run mesh validation inside run_checked and merge its
-  // findings into the sink. Off for callers that validate separately.
-  bool validate_mesh = true;
-
   // Factorized-stiffness LRU (fem/factor_cache.h), optional. When set,
   // fem::solve(problem, opts) consults it before assembling: a content-hash
   // hit replays the cached factor (bit-identical to the cold path) and a
@@ -66,12 +63,6 @@ struct RunOptions {
 
   // Renumbering override for the IDLZ pipeline — see OrderingChoice.
   OrderingChoice ordering = OrderingChoice::kDeckDefault;
-
-  // Output toggles, ANDed with the case's own IdlzOptions: false forces
-  // plots/punched cards off even when the deck asked for them (the lint
-  // dry run uses this; plotting and punching are irrelevant there).
-  bool make_plots = true;
-  bool punch = true;
 };
 
 }  // namespace feio

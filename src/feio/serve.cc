@@ -183,10 +183,11 @@ fem::StaticSolution solve_canonical(const mesh::TriMesh& mesh,
   return fem::solve(problem, ro);
 }
 
+// Cards as CardReader::next_card reads them, one per line: a '\n' ends a
+// card, and a last card without one still counts.
 std::int64_t count_cards(const std::string& deck) {
-  if (deck.empty()) return 0;
-  std::int64_t n = 1;
-  for (const char ch : deck) n += ch == '\n';
+  std::int64_t n = std::count(deck.begin(), deck.end(), '\n');
+  if (!deck.empty() && deck.back() != '\n') ++n;
   return n;
 }
 
@@ -221,7 +222,15 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
                    fem::FactorCache* factor_cache) {
   const auto t0 = Clock::now();
   DiagSink sink;
-  JobOutcome out;
+  // Every exit: the status the diagnostics decide, and the envelope.
+  const auto done = [&] {
+    JobOutcome out;
+    out.status = classify(sink);
+    out.elapsed_ms = ms_since(t0);
+    out.envelope = render_job_envelope(job.id, job.tenant, seq, out.status,
+                                       out.elapsed_ms, sink);
+    return out;
+  };
 
   // Per-job fault isolation: an empty FaultScope masks any process-wide
   // armed set; the job's own spec (if any) arms inside the fresh scope.
@@ -230,11 +239,7 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
     std::string error;
     if (!faults.arm(job.fault, error)) {
       sink.error("E-SRV-001", "bad \"fault\": " + error);
-      out.status = JobStatus::kError;
-      out.elapsed_ms = ms_since(t0);
-      out.envelope = render_job_envelope(job.id, job.tenant, seq, out.status,
-                                         out.elapsed_ms, sink);
-      return out;
+      return done();
     }
   }
 
@@ -245,11 +250,7 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
           "job \"" + job.id + "\"", count_cards(job.deck),
           static_cast<std::int64_t>(job.deck.size()), limits)) {
     sink.add(*rejection);
-    out.status = JobStatus::kRejected;
-    out.elapsed_ms = ms_since(t0);
-    out.envelope = render_job_envelope(job.id, job.tenant, seq, out.status,
-                                       out.elapsed_ms, sink);
-    return out;
+    return done();
   }
 
   const std::int64_t deadline_ms =
@@ -265,16 +266,17 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
 
   RunOptions ro;
   ro.cancel = cancel;
-  ro.make_plots = false;
-  ro.punch = false;
   ro.factor_cache = factor_cache;  // consulted by the "solve" pipeline only
   ro.ordering = opts.ordering;
 
   try {
     if (job.pipeline == "idlz" || job.pipeline == "solve") {
-      const std::vector<idlz::IdlzCase> cases =
+      std::vector<idlz::IdlzCase> cases =
           idlz::read_deck_string(job.deck, sink, "job:" + job.id);
-      for (const idlz::IdlzCase& c : cases) {
+      for (idlz::IdlzCase& c : cases) {
+        // An envelope carries no plots or punched cards.
+        c.options.make_plots = false;
+        c.options.punch_output = false;
         const std::optional<idlz::IdlzResult> result =
             idlz::run_checked(c, sink, ro);
         if (job.pipeline == "solve" && result.has_value()) {
@@ -298,12 +300,7 @@ JobOutcome run_job(const Job& job, std::int64_t seq, const ServeOptions& opts,
   } catch (const std::exception& e) {
     sink.error("E-SRV-002", std::string("internal error: ") + e.what());
   }
-
-  out.status = classify(sink);
-  out.elapsed_ms = ms_since(t0);
-  out.envelope = render_job_envelope(job.id, job.tenant, seq, out.status,
-                                     out.elapsed_ms, sink);
-  return out;
+  return done();
 }
 
 double percentile(const std::vector<double>& sorted, double p) {
@@ -472,17 +469,10 @@ class Session {
   void reject_oversize_line(int conn, std::int64_t bytes)
       FEIO_EXCLUDES(mu_) {
     const std::int64_t seq = next_seq(conn);
-    DiagSink sink;
-    sink.error("E-RES-001",
-               "request line exceeds " + std::to_string(max_line_bytes_) +
-                   " bytes (" + std::to_string(bytes) +
-                   " buffered without a newline); closing connection");
-    JobOutcome outcome;
-    outcome.status = JobStatus::kRejected;
-    outcome.envelope =
-        render_job_envelope("job-" + std::to_string(seq), "default", seq,
-                            outcome.status, 0.0, sink);
-    record(conn, seq, "default", outcome, /*admitted=*/false);
+    refuse(conn, seq, "job-" + std::to_string(seq), "default", "E-RES-001",
+           "request line exceeds " + std::to_string(max_line_bytes_) +
+               " bytes (" + std::to_string(bytes) +
+               " buffered without a newline); closing connection");
   }
 
   // Registers a transport connection and returns its index.
@@ -521,14 +511,8 @@ class Session {
       // A blank line keeps its slot in the output order (a consumer pairing
       // envelopes to input lines must never desynchronize) but carries no
       // job: an immediate E-SRV-001 envelope.
-      DiagSink sink;
-      sink.error("E-SRV-001", "blank job line");
-      JobOutcome outcome;
-      outcome.status = JobStatus::kError;
-      outcome.envelope =
-          render_job_envelope("job-" + std::to_string(seq), "default", seq,
-                              outcome.status, 0.0, sink);
-      record(conn, seq, "default", outcome, /*admitted=*/false);
+      refuse(conn, seq, "job-" + std::to_string(seq), "default", "E-SRV-001",
+             "blank job line");
       return;
     }
 
@@ -537,16 +521,9 @@ class Session {
     if (!parse_job_line(line, job, error)) {
       // The parse may have died before or after the tenant key; attribute
       // to the parsed tenant only when it is a usable lane name.
-      const std::string tenant =
-          valid_tenant_name(job.tenant) ? job.tenant : "default";
-      DiagSink sink;
-      sink.error("E-SRV-001", "malformed job line: " + error);
-      JobOutcome outcome;
-      outcome.status = JobStatus::kError;
-      outcome.envelope = render_job_envelope(
-          job.id.empty() ? "job-" + std::to_string(seq) : job.id, tenant,
-          seq, outcome.status, 0.0, sink);
-      record(conn, seq, tenant, outcome, /*admitted=*/false);
+      refuse(conn, seq, job.id.empty() ? "job-" + std::to_string(seq) : job.id,
+             valid_tenant_name(job.tenant) ? job.tenant : "default",
+             "E-SRV-001", "malformed job line: " + error);
       return;
     }
     if (job.id.empty()) job.id = "job-" + std::to_string(seq);
@@ -580,13 +557,7 @@ class Session {
     }
     // Queue-full rejection: never started, but still one envelope in order
     // so the stream stays lockstep with its input.
-    DiagSink sink;
-    sink.error("E-RES-004", reject);
-    JobOutcome outcome;
-    outcome.status = JobStatus::kRejected;
-    outcome.envelope = render_job_envelope(job.id, job.tenant, seq,
-                                           outcome.status, 0.0, sink);
-    record(conn, seq, job.tenant, outcome, /*admitted=*/false);
+    refuse(conn, seq, job.id, job.tenant, "E-RES-004", reject);
   }
 
   // Drains every admitted job (even after connection failures — workers
@@ -818,12 +789,22 @@ class Session {
     flush_conn(p.conn);
   }
 
-  void record(int conn, std::int64_t seq, const std::string& tenant,
-              const JobOutcome& outcome, bool admitted) FEIO_EXCLUDES(mu_) {
+  // The one envelope of a line that never runs (over-long, blank,
+  // malformed, or refused at admission), in its slot of the connection's
+  // order: status from classify() as for a job, elapsed 0.
+  void refuse(int conn, std::int64_t seq, const std::string& id,
+              const std::string& tenant, const char* code,
+              const std::string& message) FEIO_EXCLUDES(mu_) {
+    DiagSink sink;
+    sink.error(code, message);
+    JobOutcome outcome;
+    outcome.status = classify(sink);
+    outcome.envelope =
+        render_job_envelope(id, tenant, seq, outcome.status, 0.0, sink);
     {
       util::MutexLock lock(mu_);
       record_locked(conn, seq, tenant_index_locked(tenant), outcome,
-                    admitted);
+                    /*admitted=*/false);
     }
     flush_conn(conn);
   }
@@ -1260,15 +1241,13 @@ ServeSummary serve_listen(const ListenOptions& listen,
       if (errno == EINTR) continue;
       break;
     }
-    if (listen.send_timeout_ms > 0) {
-      // Bounds how long one blocked envelope send can park its flushing
-      // thread on a peer that stopped reading; on expiry the send fails
-      // and the connection is marked failed (see Connection::writing).
-      timeval tv{};
-      tv.tv_sec = listen.send_timeout_ms / 1000;
-      tv.tv_usec = (listen.send_timeout_ms % 1000) * 1000;
-      ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-    }
+    // A fixed 10 s SO_SNDTIMEO bounds how long one blocked envelope send
+    // can park its flushing thread on a peer that stopped reading; on
+    // expiry the send fails and the connection is marked failed (see
+    // Connection::writing).
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
     ++accepted;
     conn_fds.push_back(fd);
     const int conn = session.add_socket_connection(fd);

@@ -143,14 +143,6 @@ struct ListenOptions {
   // connect (the `bound_address` out-param is only readable after
   // serve_listen returns).
   std::function<void(const std::string&)> on_bound;
-
-  // SO_SNDTIMEO applied to every accepted connection: a peer that stops
-  // reading its replies for this long (per blocked send) has its
-  // connection marked failed (E-IO-003 semantics) instead of parking a
-  // worker forever — envelope writes happen off the session lock, so the
-  // stall never spreads past the one connection either way. 0 disables
-  // the timeout (a stalled-but-alive peer then pins one thread).
-  int send_timeout_ms = 10000;
 };
 
 // One rolling window over `window_jobs` consecutive job completions.

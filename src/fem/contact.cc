@@ -8,10 +8,15 @@
 #include "util/trace.h"
 
 namespace feio::fem {
+namespace {
+
+constexpr int kMaxIterations = 30;
+constexpr double kTolerance = 1e-9;
+
+}  // namespace
 
 ContactResult solve_with_contact(const StaticProblem& problem,
-                                 const std::vector<ContactSupport>& supports,
-                                 const ContactOptions& options) {
+                                 const std::vector<ContactSupport>& supports) {
   FEIO_REQUIRE(!supports.empty(), "no contact supports given");
   for (const ContactSupport& s : supports) {
     FEIO_ASSERT(s.node >= 0 && s.node < problem.mesh().num_nodes());
@@ -26,7 +31,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
   result.active.assign(supports.size(), true);  // engage everything first
   result.reaction.assign(supports.size(), 0.0);
 
-  for (int iter = 0; iter < options.max_iterations; ++iter) {
+  for (int iter = 0; iter < kMaxIterations; ++iter) {
     ++result.iterations;
     FEIO_TRACE_SPAN(span, "fem.contact.iteration");
     span.arg("iteration", iter + 1);
@@ -60,7 +65,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
                                   std::abs(ku[dof] - f0[dof]));
       }
     }
-    const double r_tol = options.tolerance * std::max(reaction_scale, 1e-30);
+    const double r_tol = kTolerance * std::max(reaction_scale, 1e-30);
 
     bool changed = false;
     for (size_t s = 0; s < supports.size(); ++s) {
@@ -76,7 +81,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
       } else {
         result.reaction[s] = 0.0;
         const double penetration = -(rhs[dof] + supports[s].gap);
-        if (penetration > options.tolerance *
+        if (penetration > kTolerance *
                               std::max(std::abs(supports[s].gap), 1e-12)) {
           result.active[s] = true;
           changed = true;
@@ -97,7 +102,7 @@ ContactResult solve_with_contact(const StaticProblem& problem,
     }
   }
   fail("contact iteration did not converge within " +
-       std::to_string(options.max_iterations) + " iterations");
+       std::to_string(kMaxIterations) + " iterations");
 }
 
 }  // namespace feio::fem

@@ -31,13 +31,6 @@ struct ContactSupport {
   double gap = 0.0;
 };
 
-struct ContactOptions {
-  int max_iterations = 30;
-  // Reactions more negative than -tol * |max reaction| release; nodes
-  // penetrating deeper than tol * gap-scale engage.
-  double tolerance = 1e-9;
-};
-
 struct ContactResult {
   StaticSolution solution;
   // Per candidate (same order as the input): engaged at convergence?
@@ -49,11 +42,14 @@ struct ContactResult {
 };
 
 // Solves `problem` with the unilateral supports added. The problem's own
-// constraints/loads are untouched; the supports supplement them. Throws
-// feio::Error if an iteration's system is singular (the candidate set must
-// restrain rigid motion when all supports engage).
+// constraints/loads are untouched; the supports supplement them. With a
+// tolerance of 1e-9, a reaction more negative than -1e-9 times the largest
+// engaged reaction releases its support, and a released node penetrating
+// deeper than 1e-9 times its gap (at least 1e-12) engages. Throws
+// feio::Error if the active set is not stable within 30 iterations, or if
+// an iteration's system is singular (the candidate set must restrain rigid
+// motion when all supports engage).
 ContactResult solve_with_contact(const StaticProblem& problem,
-                                 const std::vector<ContactSupport>& supports,
-                                 const ContactOptions& options = {});
+                                 const std::vector<ContactSupport>& supports);
 
 }  // namespace feio::fem

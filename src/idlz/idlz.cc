@@ -82,9 +82,8 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
   }();
   r.initial = assembly.mesh;
   // The initial plot needs the assembler's topology, which shaping changes.
-  const bool make_plots = c.options.make_plots && opts.make_plots;
   std::optional<mesh::Topology> initial_topo;
-  if (make_plots) initial_topo = assembly.topology;
+  if (c.options.make_plots) initial_topo = assembly.topology;
   FEIO_METRIC_ADD("idlz.nodes_numbered", assembly.mesh.num_nodes());
   FEIO_METRIC_ADD("idlz.elements_created", assembly.mesh.num_elements());
 
@@ -100,9 +99,10 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
   FEIO_METRIC_ADD("idlz.nodes_from_cards", r.shaping.nodes_from_cards);
   FEIO_METRIC_ADD("idlz.nodes_interpolated", r.shaping.nodes_interpolated);
 
-  // 3. Reform elements with needle-like corners.
+  // 3. Reform elements with needle-like corners, where necessary: reform
+  // decides each edge itself.
   FEIO_CHECK_CANCEL("idlz.reform");
-  if (c.options.reform_elements) {
+  {
     FEIO_TRACE_SPAN(span, "idlz.reform");
     r.reform = reform(assembly.mesh, assembly.topology);
     span.arg("flips", r.reform.flips);
@@ -114,10 +114,11 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
 
   // 4. Optionally renumber the nodes to ensure a narrow bandwidth.
   // opts.ordering can override the deck: kNone forces the pass off, kRcm
-  // forces it on with RCM; kDeckDefault keeps the deck's NONUMB flag and
-  // scheme (the ordering axis of the solver bench rides through here).
+  // forces it on with RCM; kDeckDefault keeps the deck's NONUMB flag with
+  // the better of CM and RCM (the ordering axis of the solver bench rides
+  // through here).
   bool renumber_nodes = c.options.renumber_nodes;
-  NumberingScheme scheme = c.options.scheme;
+  NumberingScheme scheme = NumberingScheme::kBest;
   switch (opts.ordering) {
     case OrderingChoice::kDeckDefault:
       break;
@@ -177,7 +178,7 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
 
   // 6. Optional plots (Figure 11): initial, final, per-subdivision numbered.
   FEIO_CHECK_CANCEL("idlz.plots");
-  if (make_plots) {
+  if (c.options.make_plots) {
     FEIO_TRACE_SPAN(span, "idlz.plots");
     r.plots.push_back(plot::plot_mesh(r.initial, *initial_topo,
                                       c.title + " - INITIAL REPRESENTATION"));
@@ -191,7 +192,7 @@ IdlzResult run_stages(const IdlzCase& c, const RunOptions& opts,
 
   // 7. Optional punched output.
   FEIO_CHECK_CANCEL("idlz.punch");
-  if (c.options.punch_output && opts.punch) {
+  if (c.options.punch_output) {
     FEIO_TRACE_SPAN(span, "idlz.punch");
     FEIO_FAULT("idlz.punch");
     if (punch_diags == nullptr) {
@@ -230,7 +231,7 @@ std::optional<IdlzResult> run_checked(const IdlzCase& c, DiagSink& sink,
     DiagSink punch_diags;
     std::optional<mesh::Topology> topo;
     IdlzResult r = run_stages(c, opts, &punch_diags, topo);
-    if (opts.validate_mesh) {
+    {
       FEIO_TRACE_SPAN(span, "idlz.validate");
       mesh::validate(r.mesh, topo).merge_into(sink);
     }

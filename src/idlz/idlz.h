@@ -27,12 +27,9 @@ struct IdlzOptions {
   bool make_plots = false;      // NOPLOT = 1
   bool renumber_nodes = false;  // NONUMB = 1
   bool punch_output = false;    // NOPNCH = 1
-  // The reform pass runs "where necessary"; exposed for the ablation bench.
-  bool reform_elements = true;
   // How square cells are split (see DiagonalStyle); kUniform matches the
   // paper's plots.
   DiagonalStyle diagonals = DiagonalStyle::kUniform;
-  NumberingScheme scheme = NumberingScheme::kBest;
   Limits limits = Limits::paper();
   std::string nodal_format = "(2F9.5,51X,I3,5X,I3)";
   std::string element_format = "(3I5,62X,I3)";
@@ -85,7 +82,7 @@ struct IdlzResult {
 };
 
 // Runs the IDLZ pipeline on one case under the given options (trace/metrics
-// sinks, cancel token, output toggles — see feio/run_options.h). Throws
+// sinks, cancel token, ordering — see feio/run_options.h). Throws
 // feio::Error on invalid input.
 IdlzResult run(const IdlzCase& c, const RunOptions& opts = {});
 

@@ -200,8 +200,7 @@ void lint_one_format(const FormatCard& f, bool nodal,
 }  // namespace
 
 void lint_formats(const idlz::IdlzCase& c, const mesh::TriMesh* final_mesh,
-                  const LintOptions& opts, DiagSink& sink) {
-  (void)opts;
+                  DiagSink& sink) {
   // Only punched decks care about the FORMAT cards, but a wrong FORMAT is
   // latent damage either way; the rules run unconditionally and the punch
   // option merely sharpens severity-relevant context in the docs.

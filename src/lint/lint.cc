@@ -4,7 +4,6 @@
 #include <sstream>
 #include <string>
 
-#include "feio/run_options.h"
 #include "idlz/deck.h"
 #include "ospl/deck.h"
 #include "util/error.h"
@@ -40,36 +39,32 @@ class RuleFamilyScope {
 
 }  // namespace
 
-void lint_case(const idlz::IdlzCase& c, const LintOptions& opts,
-               DiagSink& sink) {
+void lint_case(const idlz::IdlzCase& c, DiagSink& sink) {
   FEIO_TRACE_SPAN(span, "lint.case");
   span.arg("title", c.title);
   FEIO_METRIC_ADD("lint.cases_linted", 1);
   {
     RuleFamilyScope scope("lint.rules.subdivisions", sink);
-    lint_subdivisions(c.subdivisions, c.deck_name, opts, sink);
+    lint_subdivisions(c.subdivisions, c.deck_name, sink);
   }
   {
     RuleFamilyScope scope("lint.rules.shaping", sink);
-    lint_shaping(c, opts, sink);
+    lint_shaping(c, sink);
   }
 
-  const mesh::TriMesh* final_mesh = nullptr;
   std::optional<idlz::IdlzResult> result;
-  if (opts.run_pipeline) {
-    // Dry run to obtain the idealization for the mesh/width rules, through
-    // the RunOptions API with plots and punching toggled off (both are
-    // irrelevant here). The arc restriction is relaxed so an L-SUB-005
-    // deck still produces a mesh to lint — L-SUB-005 itself was already
-    // reported statically above.
+  {
+    // Dry run to obtain the idealization for the mesh/width rules, with
+    // plots and punching off (both are irrelevant here). The arc
+    // restriction is relaxed so an L-SUB-005 deck still produces a mesh to
+    // lint — L-SUB-005 itself was already reported statically above.
     FEIO_TRACE_SCOPE("lint.pipeline_dry_run");
     idlz::IdlzCase dry = c;
     dry.options.limits.max_arc_subtended_deg = 180.0;
-    RunOptions dry_opts;
-    dry_opts.make_plots = false;
-    dry_opts.punch = false;
+    dry.options.make_plots = false;
+    dry.options.punch_output = false;
     try {
-      result = idlz::run(dry, dry_opts);
+      result = idlz::run(dry);
     } catch (const Error& e) {
       sink.error("E-IDLZ-006",
                  "pipeline failed for data set '" + c.title +
@@ -81,47 +76,47 @@ void lint_case(const idlz::IdlzCase& c, const LintOptions& opts,
                      "': " + e.what(),
                  {c.deck_name, 0, 0, 0});
     }
-    if (result) final_mesh = &result->mesh;
   }
+  const mesh::TriMesh* final_mesh = result ? &result->mesh : nullptr;
 
   if (final_mesh) {
     RuleFamilyScope scope("lint.rules.mesh", sink);
-    lint_mesh(*final_mesh, c, opts, sink);
+    lint_mesh(*final_mesh, c, sink);
   }
   {
     RuleFamilyScope scope("lint.rules.formats", sink);
-    lint_formats(c, final_mesh, opts, sink);
+    lint_formats(c, final_mesh, sink);
   }
 }
 
 void lint_idlz_deck(std::istream& in, DiagSink& sink,
-                    const std::string& deck_name, const LintOptions& opts) {
+                    const std::string& deck_name) {
   const std::vector<idlz::IdlzCase> cases =
       idlz::read_deck(in, sink, deck_name);
   for (const idlz::IdlzCase& c : cases) {
     if (sink.capped()) break;
-    lint_case(c, opts, sink);
+    lint_case(c, sink);
   }
 }
 
 void lint_idlz_string(const std::string& deck, DiagSink& sink,
-                      const std::string& deck_name, const LintOptions& opts) {
+                      const std::string& deck_name) {
   std::istringstream in(deck);
-  lint_idlz_deck(in, sink, deck_name, opts);
+  lint_idlz_deck(in, sink, deck_name);
 }
 
 void lint_ospl_deck(std::istream& in, DiagSink& sink,
-                    const std::string& deck_name, const LintOptions& opts) {
+                    const std::string& deck_name) {
   const ospl::OsplCase c = ospl::read_deck(in, sink, deck_name);
   if (c.mesh.num_nodes() > 0 && !sink.capped()) {
-    lint_ospl_case(c, opts, sink);
+    lint_ospl_case(c, sink);
   }
 }
 
 void lint_ospl_string(const std::string& deck, DiagSink& sink,
-                      const std::string& deck_name, const LintOptions& opts) {
+                      const std::string& deck_name) {
   std::istringstream in(deck);
-  lint_ospl_deck(in, sink, deck_name, opts);
+  lint_ospl_deck(in, sink, deck_name);
 }
 
 int exit_code(const DiagSink& sink) {

@@ -26,72 +26,45 @@
 
 namespace feio::lint {
 
-struct LintOptions {
-  // Grid/size limits the deck is linted against (L-SUB-001). The pipeline
-  // dry run relaxes the arc restriction so an L-SUB-005 deck still yields a
-  // mesh for the mesh-level rules.
-  idlz::Limits limits = idlz::Limits::paper();
-  // An element with min angle below this is a needle (L-MESH-001).
-  double needle_threshold_deg = 20.0;
-  // L-MESH-005 fires when a renumbering dry run cuts the bandwidth by at
-  // least this percentage...
-  double bandwidth_gain_pct = 25.0;
-  // ...and the original bandwidth is at least this (tiny meshes are noise).
-  int min_bandwidth = 5;
-  // L-OSPL-004 fires when an explicit DELTA implies more levels than this.
-  int max_contour_levels = 200;
-  // Run the idealization pipeline to enable the mesh-level rules and the
-  // exact FORMAT width checks. Disable for a purely syntactic pass.
-  bool run_pipeline = true;
-};
-
 // --- Rule families (exposed for tests and for embedding) -----------------
 
 // L-SUB-001..004: grid bounds, overlap, disconnection, duplicate ids.
 void lint_subdivisions(const std::vector<idlz::Subdivision>& subdivisions,
-                       const std::string& deck_name, const LintOptions& opts,
-                       DiagSink& sink);
+                       const std::string& deck_name, DiagSink& sink);
 
 // L-SUB-005/006: shaping arcs subtending > 90 degrees / impossible radii.
-void lint_shaping(const idlz::IdlzCase& c, const LintOptions& opts,
-                  DiagSink& sink);
+void lint_shaping(const idlz::IdlzCase& c, DiagSink& sink);
 
 // L-FMT-001..005 on both type-7 FORMAT cards. `final_mesh` (may be null)
 // supplies the actual node/element counts and coordinate range for the
 // width rules; without it only the structural rules run.
 void lint_formats(const idlz::IdlzCase& c, const mesh::TriMesh* final_mesh,
-                  const LintOptions& opts, DiagSink& sink);
+                  DiagSink& sink);
 
 // L-MESH-001..005 on the idealization `c` produced.
 void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
-               const LintOptions& opts, DiagSink& sink);
+               DiagSink& sink);
 
 // L-OSPL-001..005 on an iso-plot case.
-void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
-                    DiagSink& sink);
+void lint_ospl_case(const ospl::OsplCase& c, DiagSink& sink);
 
 // All IDLZ rule families for one data set, including the pipeline dry run
 // (failures recorded as E-IDLZ-006/007, as in `feio check`).
-void lint_case(const idlz::IdlzCase& c, const LintOptions& opts,
-               DiagSink& sink);
+void lint_case(const idlz::IdlzCase& c, DiagSink& sink);
 
 // --- Whole-deck drivers ---------------------------------------------------
 
 // Parses with the recovering reader (parse diagnostics land in `sink`) and
 // lints every data set.
 void lint_idlz_deck(std::istream& in, DiagSink& sink,
-                    const std::string& deck_name = "<deck>",
-                    const LintOptions& opts = {});
+                    const std::string& deck_name = "<deck>");
 void lint_idlz_string(const std::string& deck, DiagSink& sink,
-                      const std::string& deck_name = "<deck>",
-                      const LintOptions& opts = {});
+                      const std::string& deck_name = "<deck>");
 
 void lint_ospl_deck(std::istream& in, DiagSink& sink,
-                    const std::string& deck_name = "<deck>",
-                    const LintOptions& opts = {});
+                    const std::string& deck_name = "<deck>");
 void lint_ospl_string(const std::string& deck, DiagSink& sink,
-                      const std::string& deck_name = "<deck>",
-                      const LintOptions& opts = {});
+                      const std::string& deck_name = "<deck>");
 
 // The `feio lint` exit-code contract: 2 when the sink holds errors, 1 when
 // it holds warnings only, 0 when clean (notes do not affect the code).

@@ -21,21 +21,29 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+// An element with min angle below this is a needle (L-MESH-001).
+constexpr double kNeedleDeg = 20.0;
+// L-MESH-005 fires when a renumbering dry run cuts the bandwidth by at
+// least this percentage, and the original bandwidth is at least
+// kMinBandwidth (tiny meshes are noise).
+constexpr double kBandwidthGainPct = 25.0;
+constexpr int kMinBandwidth = 5;
+
 }  // namespace
 
 void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
-               const LintOptions& opts, DiagSink& sink) {
+               DiagSink& sink) {
   const SourceLoc loc{c.deck_name, 0, 0, 0};
   if (mesh.num_elements() == 0) return;
 
   // L-MESH-001: needle elements that survived the reform pass.
-  const double threshold_rad = opts.needle_threshold_deg * kPi / 180.0;
+  const double threshold_rad = kNeedleDeg * kPi / 180.0;
   const mesh::QualitySummary q = mesh::summarize_quality(mesh, threshold_rad);
   if (q.needle_count > 0) {
     std::string msg = std::to_string(q.needle_count) + " of " +
                       std::to_string(mesh.num_elements()) +
                       " elements are needles (min angle below ";
-    append_fixed(msg, opts.needle_threshold_deg, 0);
+    append_fixed(msg, kNeedleDeg, 0);
     msg += " degrees; worst ";
     append_fixed(msg, q.min_angle_rad * 180.0 / kPi, 1);
     msg += " degrees)";
@@ -98,11 +106,11 @@ void lint_mesh(const mesh::TriMesh& mesh, const idlz::IdlzCase& c,
     mesh::TriMesh copy = mesh;
     const idlz::RenumberReport r = idlz::renumber(
         copy, mesh::Topology(mesh), idlz::NumberingScheme::kBest);
-    if (r.applied && r.bandwidth_before >= opts.min_bandwidth) {
+    if (r.applied && r.bandwidth_before >= kMinBandwidth) {
       const double gain =
           100.0 * (r.bandwidth_before - r.bandwidth_after) /
           static_cast<double>(r.bandwidth_before);
-      if (gain >= opts.bandwidth_gain_pct) {
+      if (gain >= kBandwidthGainPct) {
         std::string msg =
             "renumbering would cut the coefficient-matrix bandwidth from " +
             std::to_string(r.bandwidth_before) + " to " +

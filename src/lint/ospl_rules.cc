@@ -12,9 +12,14 @@
 #include "util/text.h"
 
 namespace feio::lint {
+namespace {
 
-void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
-                    DiagSink& sink) {
+// L-OSPL-004 fires when an explicit DELTA implies more levels than this.
+constexpr int kMaxContourLevels = 200;
+
+}  // namespace
+
+void lint_ospl_case(const ospl::OsplCase& c, DiagSink& sink) {
   // The type-1 header card carries DELTA in columns 51-60 and the window in
   // columns 11-50 of (2I5,5F10.4).
   const SourceLoc delta_loc{c.deck_name, c.header_card, 51, 60};
@@ -69,7 +74,7 @@ void lint_ospl_case(const ospl::OsplCase& c, const LintOptions& opts,
       append_fixed(msg, ospl::auto_interval(vmin, vmax), 4);
       msg += ')';
       sink.warning("L-OSPL-002", std::move(msg), delta_loc);
-    } else if (levels_in_range > opts.max_contour_levels) {
+    } else if (levels_in_range > kMaxContourLevels) {
       std::string msg = delta_is() + " implies about " +
                         std::to_string(static_cast<long>(levels_in_range)) +
                         " contour levels over the range ";

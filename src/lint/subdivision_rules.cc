@@ -34,9 +34,12 @@ bool geometry_usable(const idlz::Subdivision& s) {
   return true;
 }
 
-bool in_bounds(const idlz::Subdivision& s, const idlz::Limits& limits) {
-  return s.k1 >= 1 && s.l1 >= 1 && s.k2 <= limits.max_k &&
-         s.l2 <= limits.max_l;
+// The paper's grid (Table 2), which L-SUB-001 lints every deck against.
+const idlz::Limits kLimits = idlz::Limits::paper();
+
+bool in_bounds(const idlz::Subdivision& s) {
+  return s.k1 >= 1 && s.l1 >= 1 && s.k2 <= kLimits.max_k &&
+         s.l2 <= kLimits.max_l;
 }
 
 // Convex outline of a subdivision on the integer grid. Strips change span
@@ -97,20 +100,19 @@ double convex_intersection_area(std::vector<geom::Vec2> poly,
 }  // namespace
 
 void lint_subdivisions(const std::vector<idlz::Subdivision>& subdivisions,
-                       const std::string& deck_name, const LintOptions& opts,
-                       DiagSink& sink) {
+                       const std::string& deck_name, DiagSink& sink) {
   // L-SUB-001 (grid bounds) and L-SUB-004 (duplicate ids) are pure card
   // checks and run for every subdivision.
   std::set<int> seen_ids;
   for (const idlz::Subdivision& s : subdivisions) {
-    if (!in_bounds(s, opts.limits)) {
+    if (!in_bounds(s)) {
       sink.error("L-SUB-001",
                  "subdivision " + std::to_string(s.id) + " corners (" +
                      std::to_string(s.k1) + "," + std::to_string(s.l1) +
                      ")-(" + std::to_string(s.k2) + "," +
                      std::to_string(s.l2) + ") leave the 1.." +
-                     std::to_string(opts.limits.max_k) + " x 1.." +
-                     std::to_string(opts.limits.max_l) + " integer grid",
+                     std::to_string(kLimits.max_k) + " x 1.." +
+                     std::to_string(kLimits.max_l) + " integer grid",
                  card_loc(deck_name, s.card));
     }
     if (!seen_ids.insert(s.id).second) {
@@ -127,7 +129,7 @@ void lint_subdivisions(const std::vector<idlz::Subdivision>& subdivisions,
   // enumerated.
   std::vector<const idlz::Subdivision*> usable;
   for (const idlz::Subdivision& s : subdivisions) {
-    if (geometry_usable(s) && in_bounds(s, opts.limits)) usable.push_back(&s);
+    if (geometry_usable(s) && in_bounds(s)) usable.push_back(&s);
   }
 
   // L-SUB-002: pairwise outline intersection. Legitimately adjacent
@@ -185,9 +187,7 @@ void lint_subdivisions(const std::vector<idlz::Subdivision>& subdivisions,
   }
 }
 
-void lint_shaping(const idlz::IdlzCase& c, const LintOptions& opts,
-                  DiagSink& sink) {
-  (void)opts;
+void lint_shaping(const idlz::IdlzCase& c, DiagSink& sink) {
   for (const idlz::ShapingSpec& spec : c.shaping) {
     for (const idlz::ShapeLine& line : spec.lines) {
       if (line.radius == 0.0) continue;

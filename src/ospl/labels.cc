@@ -32,14 +32,13 @@ std::string format_level(double level, int decimals) {
 
 LabelResult place_labels(const std::vector<ContourSegment>& segments,
                          std::span<const mesh::Edge> boundary_edges,
-                         const geom::BBox& plot_bounds,
-                         const LabelOptions& opts) {
+                         const geom::BBox& plot_bounds, int decimals) {
   LabelResult result;
   const double diag = plot_bounds.valid()
                           ? std::hypot(plot_bounds.width(),
                                        plot_bounds.height())
                           : 1.0;
-  const double min_sep = opts.min_separation_frac * diag;
+  const double min_sep = 0.05 * diag;
 
   std::vector<ContourLabel> candidates;
   for (const ContourSegment& seg : segments) {
@@ -51,8 +50,7 @@ LabelResult place_labels(const std::vector<ContourSegment>& segments,
         continue;
       }
       candidates.push_back(ContourLabel{end == 0 ? seg.a : seg.b, seg.level,
-                                        format_level(seg.level,
-                                                     opts.decimals)});
+                                        format_level(seg.level, decimals)});
     }
   }
 

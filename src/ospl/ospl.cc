@@ -130,15 +130,12 @@ OsplResult run_stages(const OsplCase& c, const RunOptions& opts,
   }
 
   // Labels at contour-boundary intersections.
-  LabelOptions label_opts = c.label_options;
-  if (label_opts.auto_decimals) {
-    label_opts.decimals = decimals_for_interval(r.delta);
-  }
   FEIO_CHECK_CANCEL("ospl.labels");
   {
     FEIO_TRACE_SPAN(span, "ospl.labels");
     FEIO_FAULT("ospl.labels");
-    r.labels = place_labels(r.segments, boundary_edges, window, label_opts);
+    r.labels = place_labels(r.segments, boundary_edges, window,
+                            decimals_for_interval(r.delta));
     span.arg("accepted", static_cast<std::int64_t>(r.labels.accepted.size()));
   }
   FEIO_METRIC_ADD("ospl.labels_placed",
@@ -175,7 +172,7 @@ std::optional<OsplResult> run_checked(const OsplCase& c, DiagSink& sink,
   util::ScopedMetricsInstall metrics_scope(opts.metrics);
   util::ScopedCancel cancel_scope(opts.cancel);
   std::optional<mesh::Topology> topo;  // built by validation, reused
-  if (opts.validate_mesh) {
+  {
     FEIO_TRACE_SPAN(span, "ospl.validate");
     const mesh::ValidationReport rep = mesh::validate(c.mesh, topo);
     rep.merge_into(sink);

@@ -40,7 +40,6 @@ struct OsplCase {
   geom::BBox window;
   // Contour interval DELTA; 0 => determined automatically (Appendix D).
   double delta = 0.0;
-  LabelOptions label_options;
   OsplLimits limits = OsplLimits::paper();
   // Provenance when read from a deck (empty/0 for programmatic cases): deck
   // label and 1-based number of the type-1 header card that carried DELTA

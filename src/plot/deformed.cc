@@ -43,9 +43,7 @@ double draw_deformed(const mesh::TriMesh& mesh,
     deformed.set_pos(n, mesh.pos(n) +
                             displacement[static_cast<size_t>(n)] * scale);
   }
-  MeshPlotOptions mp;
-  mp.draw_boundary = true;
-  draw_mesh(deformed, topo, out, mp);
+  draw_mesh(deformed, topo, out);
   return scale;
 }
 

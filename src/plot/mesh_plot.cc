@@ -4,6 +4,11 @@
 #include <vector>
 
 namespace feio::plot {
+namespace {
+
+constexpr double kLabelSize = 0.8;
+
+}  // namespace
 
 void draw_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
                PlotFile& out, const MeshPlotOptions& opts) {
@@ -14,22 +19,21 @@ void draw_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
       if (drawn[static_cast<size_t>(id)]) continue;
       drawn[static_cast<size_t>(id)] = 1;
       const mesh::Edge e = topo.edges()[static_cast<size_t>(id)];
-      const bool is_boundary = opts.draw_boundary && topo.is_boundary(id);
       out.line(mesh.pos(e.a), mesh.pos(e.b),
-               is_boundary ? Pen::kBoundary : Pen::kMesh);
+               topo.is_boundary(id) ? Pen::kBoundary : Pen::kMesh);
     }
   }
 
   if (opts.number_nodes) {
     for (int i = 0; i < mesh.num_nodes(); ++i) {
-      out.text(mesh.pos(i), std::to_string(i + 1), opts.label_size);
+      out.text(mesh.pos(i), std::to_string(i + 1), kLabelSize);
     }
   }
   if (opts.number_elements) {
     for (int e = 0; e < mesh.num_elements(); ++e) {
       const auto c = mesh.corners(e);
       const geom::Vec2 centroid = (c[0] + c[1] + c[2]) / 3.0;
-      out.text(centroid, std::to_string(e + 1), opts.label_size);
+      out.text(centroid, std::to_string(e + 1), kLabelSize);
     }
   }
 }

@@ -12,14 +12,13 @@
 namespace feio::plot {
 
 struct MeshPlotOptions {
-  bool draw_boundary = true;   // heavier pen on boundary edges
   bool number_nodes = false;   // stamp 1-based node numbers
   bool number_elements = false;
-  double label_size = 0.8;
 };
 
-// Draws every element edge (once) plus options above into `out`. `topo` is
-// the topology of `mesh`.
+// Draws every element edge (once), boundary edges with the heavier pen,
+// plus the numbers the options above ask for (size 0.8) into `out`. `topo`
+// is the topology of `mesh`.
 void draw_mesh(const mesh::TriMesh& mesh, const mesh::Topology& topo,
                PlotFile& out, const MeshPlotOptions& opts = {});
 

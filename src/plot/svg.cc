@@ -22,25 +22,28 @@ const char* pen_style(Pen pen) {
   return "stroke=\"#000000\" stroke-width=\"1\"";
 }
 
+constexpr int kWidthPx = 900;
+constexpr double kMarginFrac = 0.06;  // of the width, on every side
+constexpr double kTitleBandPx = 40.0;
+
 }  // namespace
 
-std::string render_svg(const PlotFile& plot, const SvgOptions& opts) {
+std::string render_svg(const PlotFile& plot) {
   geom::BBox box = plot.bounds();
   if (!box.valid()) box = {geom::Vec2{0, 0}, geom::Vec2{1, 1}};
   if (box.width() <= 0.0) box.hi.x = box.lo.x + 1.0;
   if (box.height() <= 0.0) box.hi.y = box.lo.y + 1.0;
 
-  const double margin = opts.width_px * opts.margin_frac;
-  const double draw_w = opts.width_px - 2.0 * margin;
+  const double margin = kWidthPx * kMarginFrac;
+  const double draw_w = kWidthPx - 2.0 * margin;
   const double scale = draw_w / box.width();
   const double draw_h = box.height() * scale;
-  const double title_band = opts.show_title ? 40.0 : 0.0;
-  const double height_px = draw_h + 2.0 * margin + title_band;
+  const double height_px = draw_h + 2.0 * margin + kTitleBandPx;
 
   // World -> device, flipping y (SVG y grows downward).
   auto map = [&](geom::Vec2 p) {
     return geom::Vec2{margin + (p.x - box.lo.x) * scale,
-                      title_band + margin + (box.hi.y - p.y) * scale};
+                      kTitleBandPx + margin + (box.hi.y - p.y) * scale};
   };
 
   // A <line> takes 90 to 110 bytes and a label about 100 plus its text, so
@@ -48,28 +51,28 @@ std::string render_svg(const PlotFile& plot, const SvgOptions& opts) {
   std::string out;
   out.reserve(512 + 100 * plot.lines().size() + 120 * plot.labels().size());
   out += "<svg xmlns=\"http://www.w3.org/2000/svg\" width=\"";
-  append_int(out, opts.width_px);
+  append_int(out, kWidthPx);
   out += "\" height=\"";
   append_int(out, static_cast<int>(height_px));
   out += "\" viewBox=\"0 0 ";
-  append_int(out, opts.width_px);
+  append_int(out, kWidthPx);
   out += ' ';
   append_int(out, static_cast<int>(height_px));
   out += "\">\n<rect width=\"100%\" height=\"100%\" fill=\"white\"/>\n";
 
   const auto title = [&](const std::string& text, const char* y_and_size) {
     out += "<text x=\"";
-    append_int(out, opts.width_px / 2);
+    append_int(out, kWidthPx / 2);
     out += y_and_size;
     append_xml_escaped(out, text);
     out += "</text>\n";
   };
-  if (opts.show_title && !plot.title().empty()) {
+  if (!plot.title().empty()) {
     title(plot.title(),
           "\" y=\"20\" text-anchor=\"middle\" font-family=\"monospace\" "
           "font-size=\"15\">");
   }
-  if (opts.show_title && !plot.subtitle().empty()) {
+  if (!plot.subtitle().empty()) {
     title(plot.subtitle(),
           "\" y=\"36\" text-anchor=\"middle\" font-family=\"monospace\" "
           "font-size=\"12\">");
@@ -108,11 +111,10 @@ std::string render_svg(const PlotFile& plot, const SvgOptions& opts) {
   return out;
 }
 
-void write_svg(const PlotFile& plot, const std::string& path,
-               const SvgOptions& opts) {
+void write_svg(const PlotFile& plot, const std::string& path) {
   std::ofstream f(path);
   FEIO_REQUIRE(f.good(), "cannot open '" + path + "' for writing");
-  f << render_svg(plot, opts);
+  f << render_svg(plot);
   FEIO_REQUIRE(f.good(), "failed writing '" + path + "'");
 }
 

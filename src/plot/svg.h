@@ -7,17 +7,12 @@
 
 namespace feio::plot {
 
-struct SvgOptions {
-  int width_px = 900;        // drawing width; height follows aspect ratio
-  double margin_frac = 0.06; // margin around the drawing, fraction of width
-  bool show_title = true;
-};
-
-// Renders the display list to a standalone SVG document.
-std::string render_svg(const PlotFile& plot, const SvgOptions& opts = {});
+// Renders the display list to a standalone SVG document 900 px wide, its
+// height following the drawing's aspect ratio, with a 6% margin around the
+// drawing and a band above it for the title and subtitle.
+std::string render_svg(const PlotFile& plot);
 
 // Renders and writes to `path`; throws feio::Error on I/O failure.
-void write_svg(const PlotFile& plot, const std::string& path,
-               const SvgOptions& opts = {});
+void write_svg(const PlotFile& plot, const std::string& path);
 
 }  // namespace feio::plot

@@ -132,13 +132,9 @@ TEST(ReformTest, NonConvexQuadNeverFlipped) {
 TEST(ReformTest, Figure10NeedlesImprove) {
   // The paper's Figure 10: the skewed trapezoid's initial elements have
   // needle-like corners; reform removes the worst of them.
-  IdlzCase c = scenarios::fig10_needle_trapezoid();
-  c.options.reform_elements = false;
-  const IdlzResult before = run(c);
-  c.options.reform_elements = true;
-  const IdlzResult after = run(c);
+  const IdlzResult after = run(scenarios::fig10_needle_trapezoid());
 
-  const auto qb = mesh::summarize_quality(before.mesh);
+  const auto qb = mesh::summarize_quality(after.before_reform);
   const auto qa = mesh::summarize_quality(after.mesh);
   EXPECT_GT(after.reform.flips, 0);
   // The apex corner's own angle is fixed by the boundary, so the worst
@@ -150,7 +146,7 @@ TEST(ReformTest, Figure10NeedlesImprove) {
   EXPECT_NEAR(qb.mean_min_angle_rad * kDegPerRad, 11.6, 0.05);
   EXPECT_NEAR(qa.mean_min_angle_rad * kDegPerRad, 28.2, 0.05);
   EXPECT_GE(qa.min_angle_rad, qb.min_angle_rad - 1e-12);
-  EXPECT_EQ(before.mesh.num_elements(), after.mesh.num_elements());
+  EXPECT_EQ(after.before_reform.num_elements(), after.mesh.num_elements());
   EXPECT_TRUE(mesh_helpers::validate(after.mesh).ok());
 }
 
@@ -169,15 +165,14 @@ TEST(ReformTest, Figure9HatchReformKeepsMeshValid) {
               11.3, 0.05);
   EXPECT_NEAR(mesh::summarize_quality(r.mesh).min_angle_rad * kDegPerRad,
               14.3, 0.05);
-  // Ablation A2: needles with reform off, then on. The paper shows the
+  // Ablation A2: needles before reform, then after. The paper shows the
   // hatch before and after reform and gives no count.
-  c.options.reform_elements = false;
-  EXPECT_EQ(mesh::summarize_quality(run(c).mesh).needle_count, 30);
+  EXPECT_EQ(mesh::summarize_quality(r.before_reform).needle_count, 30);
   EXPECT_EQ(mesh::summarize_quality(r.mesh).needle_count, 7);
   // Alternating diagonals at element creation halve the needles reform
   // has to repair.
   c.options.diagonals = DiagonalStyle::kAlternating;
-  EXPECT_EQ(mesh::summarize_quality(run(c).mesh).needle_count, 16);
+  EXPECT_EQ(mesh::summarize_quality(run(c).before_reform).needle_count, 16);
 }
 
 // Reform across the whole idealization gallery: never loses elements,

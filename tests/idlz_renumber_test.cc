@@ -315,21 +315,22 @@ TEST(RenumberTest, Figure15CylinderEnvelopePerOrdering) {
       {true, NumberingScheme::kCuthillMcKee, 8, 666, 2550, 31146},
       {true, NumberingScheme::kReverseCuthillMcKee, 8, 618, 2358, 27882},
   };
+  IdlzCase c = scenarios::fig15_cylinder_closure(true);
+  c.options.renumber_nodes = false;
+  const mesh::TriMesh assembly_order = run(c).mesh;
   for (const Row& row : rows) {
-    IdlzCase c = scenarios::fig15_cylinder_closure(true);
-    c.options.renumber_nodes = row.renumber;
-    c.options.scheme = row.scheme;
-    const IdlzResult r = run(c);
+    mesh::TriMesh m = assembly_order;
+    if (row.renumber) renumber(m, mesh::Topology(m), row.scheme);
     const std::vector<int> lows =
-        fem::StaticProblem(r.mesh, fem::Analysis::kAxisymmetric)
+        fem::StaticProblem(m, fem::Analysis::kAxisymmetric)
             .dof_skyline_lows();
     std::int64_t work = 0;
     for (std::size_t i = 0; i < lows.size(); ++i) {
       const std::int64_t h = static_cast<std::int64_t>(i) - lows[i] + 1;
       work += h * h;
     }
-    EXPECT_EQ(mesh::bandwidth(r.mesh), row.bandwidth);
-    EXPECT_EQ(mesh::profile(r.mesh), row.profile);
+    EXPECT_EQ(mesh::bandwidth(m), row.bandwidth);
+    EXPECT_EQ(mesh::profile(m), row.profile);
     EXPECT_EQ(fem::SkylineMatrix(lows).storage(), row.envelope);
     EXPECT_EQ(work, row.work);
   }

@@ -3,6 +3,8 @@
 // severities and card locations), the exit-code contract, and the SARIF
 // renderer.
 #include <algorithm>
+#include <cmath>
+#include <numbers>
 #include <set>
 #include <string>
 #include <vector>
@@ -168,7 +170,7 @@ TEST(LintSubdivisionTest, GridBoundsAndDuplicates) {
   dup2.k1 = 3; dup2.k2 = 5; dup2.card = 5;
 
   DiagSink sink;
-  lint::lint_subdivisions({out_of_grid, dup1, dup2}, "d.b", {}, sink);
+  lint::lint_subdivisions({out_of_grid, dup1, dup2}, "d.b", sink);
   const Diag* bounds = find_code(sink, "L-SUB-001");
   ASSERT_NE(bounds, nullptr);
   EXPECT_EQ(bounds->loc.card, 3);
@@ -186,7 +188,7 @@ TEST(LintSubdivisionTest, ImpossibleArcRadius) {
   spec.lines = {{1, 1, 5, 1, {0, 0}, {4, 0}, 1.0}};  // chord 4, radius 1
   c.shaping = {spec};
   DiagSink sink;
-  lint::lint_shaping(c, {}, sink);
+  lint::lint_shaping(c, sink);
   ASSERT_NE(find_code(sink, "L-SUB-006"), nullptr) << sink.render_text();
   EXPECT_EQ(find_code(sink, "L-SUB-005"), nullptr);
 }
@@ -199,7 +201,7 @@ TEST(LintFormatTest, StructuralRulesNeedNoMesh) {
   c.options.element_format_card = 8;
   c.deck_name = "f.b";
   DiagSink sink;
-  lint::lint_formats(c, nullptr, {}, sink);
+  lint::lint_formats(c, nullptr, sink);
   const Diag* type = find_code(sink, "L-FMT-002");
   ASSERT_NE(type, nullptr) << sink.render_text();
   EXPECT_EQ(type->loc.card, 7);
@@ -213,7 +215,7 @@ TEST(LintFormatTest, CardOverflowAndRealThroughIntWarning) {
   c.options.nodal_format = "(2F35.5,I5,I5)";  // 80 columns would be fine...
   c.options.element_format = "(3I5,F10.2,55X)";  // real descriptor for a count
   DiagSink sink;
-  lint::lint_formats(c, nullptr, {}, sink);
+  lint::lint_formats(c, nullptr, sink);
   EXPECT_EQ(find_code(sink, "L-FMT-003"), nullptr);  // exactly 80 fits
   const Diag* warn = find_code(sink, "L-FMT-002");
   ASSERT_NE(warn, nullptr);
@@ -222,7 +224,7 @@ TEST(LintFormatTest, CardOverflowAndRealThroughIntWarning) {
   idlz::IdlzCase wide;
   wide.options.nodal_format = "(2F36.5,I5,I5)";  // 82 columns
   DiagSink wsink;
-  lint::lint_formats(wide, nullptr, {}, wsink);
+  lint::lint_formats(wide, nullptr, wsink);
   ASSERT_NE(find_code(wsink, "L-FMT-003"), nullptr) << wsink.render_text();
 }
 
@@ -235,7 +237,7 @@ TEST(LintFormatTest, RealWidthAgainstMeshExtremes) {
   idlz::IdlzCase c;
   c.options.nodal_format = "(2F7.4,I3,I3)";  // 12345.0000 needs 10 columns
   DiagSink sink;
-  lint::lint_formats(c, &m, {}, sink);
+  lint::lint_formats(c, &m, sink);
   const Diag* d = find_code(sink, "L-FMT-005");
   ASSERT_NE(d, nullptr) << sink.render_text();
   EXPECT_EQ(d->severity, Severity::kWarning);
@@ -249,11 +251,37 @@ TEST(LintMeshTest, UnreferencedAndInverted) {
   m.add_node({9, 9});        // referenced by nothing
   m.add_element(0, 2, 1);    // clockwise
   DiagSink sink;
-  lint::lint_mesh(m, {}, {}, sink);
+  lint::lint_mesh(m, {}, sink);
   ASSERT_NE(find_code(sink, "L-MESH-002"), nullptr) << sink.render_text();
   const Diag* inv = find_code(sink, "L-MESH-003");
   ASSERT_NE(inv, nullptr);
   EXPECT_EQ(inv->severity, Severity::kError);
+}
+
+// L-MESH-001's threshold is 20 degrees: a kite of two isosceles triangles
+// whose apex angles (their smallest) sit just below it is two needles, and
+// just above it none.
+TEST(LintMeshTest, NeedleThresholdIsTwentyDegrees) {
+  const auto kite = [](double apex_deg) {
+    const double half = apex_deg * std::numbers::pi / 360.0;
+    mesh::TriMesh m;
+    m.add_node({0, 0});
+    m.add_node({std::cos(half), -std::sin(half)});
+    m.add_node({std::cos(half), std::sin(half)});
+    m.add_node({2 * std::cos(half), 0});
+    m.add_element(0, 1, 2);
+    m.add_element(3, 2, 1);
+    return m;
+  };
+  DiagSink below;
+  lint::lint_mesh(kite(19.9), {}, below);
+  const Diag* needles = find_code(below, "L-MESH-001");
+  ASSERT_NE(needles, nullptr) << below.render_text();
+  EXPECT_NE(needles->message.find("2 of 2 elements"), std::string::npos)
+      << needles->message;
+  DiagSink above;
+  lint::lint_mesh(kite(20.1), {}, above);
+  EXPECT_EQ(find_code(above, "L-MESH-001"), nullptr) << above.render_text();
 }
 
 TEST(LintOsplTest, FlatNegativeAndExcessiveIntervals) {
@@ -265,7 +293,7 @@ TEST(LintOsplTest, FlatNegativeAndExcessiveIntervals) {
   c.values = {1.0, 1.0, 1.0};
   c.delta = -2.0;
   DiagSink sink;
-  lint::lint_ospl_case(c, {}, sink);
+  lint::lint_ospl_case(c, sink);
   ASSERT_NE(find_code(sink, "L-OSPL-001"), nullptr) << sink.render_text();
   const Diag* neg = find_code(sink, "L-OSPL-003");
   ASSERT_NE(neg, nullptr);
@@ -274,13 +302,32 @@ TEST(LintOsplTest, FlatNegativeAndExcessiveIntervals) {
   c.values = {0.0, 5000.0, 10000.0};
   c.delta = 0.01;  // a million levels
   DiagSink dsink;
-  lint::lint_ospl_case(c, {}, dsink);
+  lint::lint_ospl_case(c, dsink);
   ASSERT_NE(find_code(dsink, "L-OSPL-004"), nullptr) << dsink.render_text();
 
   c.delta = 0.0;  // automatic interval: never degenerate
   DiagSink asink;
-  lint::lint_ospl_case(c, {}, asink);
+  lint::lint_ospl_case(c, asink);
   EXPECT_TRUE(asink.empty()) << asink.render_text();
+}
+
+// L-OSPL-004 allows 200 contour levels in range and warns at 201.
+TEST(LintOsplTest, LevelLimitIsTwoHundred) {
+  ospl::OsplCase c;
+  c.mesh.add_node({0, 0});
+  c.mesh.add_node({1, 0});
+  c.mesh.add_node({0, 1});
+  c.mesh.add_element(0, 1, 2);
+  c.delta = 1.0;
+  c.values = {0.0, 100.0, 199.0};  // levels 0, 1, ..., 199
+  DiagSink at_limit;
+  lint::lint_ospl_case(c, at_limit);
+  EXPECT_EQ(find_code(at_limit, "L-OSPL-004"), nullptr)
+      << at_limit.render_text();
+  c.values = {0.0, 100.0, 200.0};  // levels 0, 1, ..., 200
+  DiagSink over;
+  lint::lint_ospl_case(c, over);
+  ASSERT_NE(find_code(over, "L-OSPL-004"), nullptr) << over.render_text();
 }
 
 TEST(LintOsplTest, WindowMissingTheMesh) {
@@ -293,7 +340,7 @@ TEST(LintOsplTest, WindowMissingTheMesh) {
   c.window.lo = {100.0, 100.0};
   c.window.hi = {101.0, 101.0};
   DiagSink sink;
-  lint::lint_ospl_case(c, {}, sink);
+  lint::lint_ospl_case(c, sink);
   ASSERT_NE(find_code(sink, "L-OSPL-005"), nullptr) << sink.render_text();
 }
 

@@ -342,7 +342,7 @@ TEST(LabelTest, PlacedAtBoundaryIntersections) {
   s.edge_b = mesh::Edge(2, 3);
   const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
   const LabelResult r =
-      place_labels({s}, boundary, {{0, 0}, {10, 10}});
+      place_labels({s}, boundary, {{0, 0}, {10, 10}}, 0);
   ASSERT_EQ(r.accepted.size(), 1u);
   EXPECT_EQ(r.accepted[0].at, (Vec2{0, 0}));
   EXPECT_EQ(r.accepted[0].text, "+10.");
@@ -359,9 +359,34 @@ TEST(LabelTest, OverlapSuppressed) {
     segs.push_back(s);
   }
   const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
-  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
+  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}}, 0);
   EXPECT_EQ(r.accepted.size(), 1u);
   EXPECT_EQ(r.suppressed, 2);
+}
+
+// Labels closer than 5% of the plot diagonal overlap. On a 3 x 4 plot
+// (diagonal 5) two boundary crossings 4.9% of it apart are one label, and
+// 5.1% apart two.
+TEST(LabelTest, SeparationIsFivePercentOfTheDiagonal) {
+  const auto placed = [](double apart) {
+    std::vector<ContourSegment> segs;
+    for (int i = 0; i < 2; ++i) {
+      ContourSegment s;
+      s.a = {apart * i, 0.0};
+      s.b = {1, 1};
+      s.level = 10.0 * (i + 1);
+      s.edge_a = mesh::Edge(0, 1);
+      segs.push_back(s);
+    }
+    const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
+    return place_labels(segs, boundary, {{0, 0}, {3, 4}}, 0);
+  };
+  const LabelResult close = placed(0.049 * 5.0);
+  EXPECT_EQ(close.accepted.size(), 1u);
+  EXPECT_EQ(close.suppressed, 1);
+  const LabelResult clear = placed(0.051 * 5.0);
+  EXPECT_EQ(clear.accepted.size(), 2u);
+  EXPECT_EQ(clear.suppressed, 0);
 }
 
 TEST(LabelTest, ZeroContoursAlwaysLabeled) {
@@ -375,7 +400,7 @@ TEST(LabelTest, ZeroContoursAlwaysLabeled) {
     segs.push_back(s);
   }
   const std::vector<mesh::Edge> boundary{mesh::Edge(0, 1)};
-  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}});
+  const LabelResult r = place_labels(segs, boundary, {{0, 0}, {10, 10}}, 0);
   ASSERT_EQ(r.accepted.size(), 2u);  // zero accepted despite overlap
   EXPECT_EQ(r.accepted[1].text, "0.");
 }
@@ -423,7 +448,7 @@ TEST(LabelTest, InteriorEndpointsNotLabeled) {
   s.level = 10.0;
   s.edge_a = mesh::Edge(0, 1);  // interior edge
   s.edge_b = mesh::Edge(1, 2);  // interior edge
-  const LabelResult r = place_labels({s}, {}, {{0, 0}, {10, 10}});
+  const LabelResult r = place_labels({s}, {}, {{0, 0}, {10, 10}}, 0);
   EXPECT_TRUE(r.accepted.empty());
 }
 

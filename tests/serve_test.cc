@@ -331,6 +331,44 @@ TEST(ServeTest, OversizedDeckIsRejectedNotRun) {
   EXPECT_EQ(s.rejected, 1);
 }
 
+// The Figure 2 deck (examples/decks/fig02.b): nine cards, the last one
+// ended by a newline.
+constexpr const char* kFig02Deck =
+    "    1\n"
+    "RECTANGULAR SUBDIVISION\n"
+    "    0    0    0    1\n"
+    "    1    1    1    6    9         0    0\n"
+    "    1    2\n"
+    "    1    1    6    1  0.0000  0.0000  5.0000  0.0000  0.0000\n"
+    "    6    9    1    9  5.0000  8.0000  0.0000  8.0000  8.0000\n"
+    "(2F9.5,51X,I3,5X,I3)\n"
+    "(3I5,62X,I3)\n";
+
+// Admission counts the cards the deck reader reads: a trailing newline ends
+// the last card instead of starting a tenth.
+TEST(ServeTest, CardLimitCountsTheCardsTheReaderReads) {
+  const std::string terminated = kFig02Deck;
+  const std::string unterminated =
+      terminated.substr(0, terminated.size() - 1);
+  for (const std::string& deck : {terminated, unterminated}) {
+    const std::vector<std::string> jobs = {
+        "{\"id\": \"fig02\", \"pipeline\": \"idlz\", \"deck\": \"" +
+        json_escape_deck(deck) + "\"}"};
+    serve::ServeOptions opts;
+    std::vector<std::string> envelopes;
+    opts.guard.max_deck_cards = 9;
+    run_serve(jobs, envelopes, opts);
+    ASSERT_EQ(envelopes.size(), 1u);
+    EXPECT_EQ(string_field(envelopes[0], "status"), "ok") << envelopes[0];
+    opts.guard.max_deck_cards = 8;
+    run_serve(jobs, envelopes, opts);
+    ASSERT_EQ(envelopes.size(), 1u);
+    EXPECT_EQ(string_field(envelopes[0], "status"), "rejected");
+    EXPECT_NE(envelopes[0].find("deck of 9 cards"), std::string::npos)
+        << envelopes[0];
+  }
+}
+
 TEST(ServeTest, TinyDeadlineTimesOutDeterministically) {
   // deadline_ms wants > 0, so the smallest expressible deadline is 1 ms —
   // but a 1 ms budget can actually finish a tiny deck. Instead give the

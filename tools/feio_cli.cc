@@ -430,11 +430,10 @@ int run_lint(const Args& args) {
         DiagSink& sink = sinks[i];
         std::ifstream in;
         if (!open_deck(args.decks[i], in, sink)) return;
-        const lint::LintOptions opts;
         if (args.check_ospl) {
-          lint::lint_ospl_deck(in, sink, args.decks[i], opts);
+          lint::lint_ospl_deck(in, sink, args.decks[i]);
         } else {
-          lint::lint_idlz_deck(in, sink, args.decks[i], opts);
+          lint::lint_idlz_deck(in, sink, args.decks[i]);
         }
       },
       args.threads);
